@@ -22,6 +22,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -194,9 +195,11 @@ void run_dataset(const datagen::SynthSpec& spec, std::size_t iters) {
       const std::size_t lo = r * wh;
       const std::size_t hi = r == 0 ? wh : w.nodes.size();
       rank_writes[r].nodes.assign(w.nodes.begin() + lo, w.nodes.begin() + hi);
-      w.mem.slice_rows_into(lo, hi, rank_writes[r].mem);
+      std::vector<std::size_t> rows(hi - lo);
+      std::iota(rows.begin(), rows.end(), lo);
+      w.mem.gather_rows_into(rows, rank_writes[r].mem);
       rank_writes[r].mem_ts.assign(hi - lo, 1.0f);
-      w.mail.slice_rows_into(lo, hi, rank_writes[r].mail);
+      w.mail.gather_rows_into(rows, rank_writes[r].mail);
       rank_writes[r].mail_ts.assign(hi - lo, 1.5f);
     }
   }

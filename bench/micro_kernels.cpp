@@ -89,20 +89,20 @@ void BM_GemmTnInto(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTnInto)->Arg(128)->Arg(256);
 
-// The attention's per-root softmax over its valid slots, row by row.
+// The attention's masked softmax over a block of roots' rows, in place
+// (on its own output after the first iteration, which exponentiates
+// the same entries).
 void BM_MaskedSoftmax(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
-  Matrix scores = random_matrix(rows, 10, rng);
+  Matrix y = random_matrix(rows, 10, rng);
   std::vector<std::size_t> valid(rows);
   for (std::size_t r = 0; r < rows; ++r) valid[r] = r % 11;
-  Matrix y(rows, 10);
   for (auto _ : state) {
-    for (std::size_t r = 0; r < rows; ++r)
-      masked_softmax_row(scores.row_ptr(r), valid[r], 10, y.row_ptr(r));
+    masked_softmax_rows(y.data(), rows, 10, valid);
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetBytesProcessed(state.iterations() * 2 * scores.size() * sizeof(float));
+  state.SetBytesProcessed(state.iterations() * 2 * y.size() * sizeof(float));
 }
 BENCHMARK(BM_MaskedSoftmax)->Arg(600)->Arg(2400);
 
@@ -187,92 +187,134 @@ void BM_TemporalAttention(benchmark::State& state) {
   Matrix neigh = random_matrix(n * K, 32, rng);
   std::vector<std::size_t> slot_rows(n * K);
   std::iota(slot_rows.begin(), slot_rows.end(), std::size_t{0});
-  Matrix edge = random_matrix(n * K, 16, rng);
+  Matrix edges = random_matrix(n * K, 16, rng);
   std::vector<float> dt(n * K, 1.0f);
   std::vector<std::size_t> valid(n, K);
   std::vector<std::size_t> roots(n);
   std::iota(roots.begin(), roots.end(), std::size_t{0});
   nn::TemporalAttention::Ctx ctx;
-  attn.forward(node, roots, neigh, slot_rows, edge, dt, valid, &ctx);  // warm-up
+  // warm-up
+  attn.forward(node, roots, neigh, slot_rows, edges, slot_rows, dt, valid,
+               &ctx);
   for (auto _ : state) {
-    const Matrix& out =
-        attn.forward(node, roots, neigh, slot_rows, edge, dt, valid, &ctx);
+    const Matrix& out = attn.forward(node, roots, neigh, slot_rows, edges,
+                                     slot_rows, dt, valid, &ctx);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_TemporalAttention)->Arg(200)->Arg(600);
 
-// One attention layer at the train-proc-ckpt workload's widths: node and
-// attention width 100, Φ(Δt) 16, no edge features, 2 heads, K = 10
-// slots per root drawing on 245 table rows. Roots repeat rows of a root
-// table as the workload's batches do (first-seen order, as TGNModel
-// builds it).
+// One attention layer at a workload's widths: node, attention and
+// output width, edge and Φ(Δt) width, 2 heads, K slots per root drawing
+// on `unique` table rows, and E_vw read by index from a table of
+// `edge_rows` rows (none without edge features). Roots repeat rows of a
+// root table as the workload's batches do (first-seen order, as
+// TGNModel builds it).
 struct AttentionAtWorkload {
-  static constexpr std::size_t kUnique = 245, kK = 10, kWidth = 100;
+  struct Shape {
+    std::size_t width, edge_dim, time_dim, K, unique, edge_rows;
+  };
+  // train-proc-ckpt: paper widths, mooc_like has no edge features.
+  static constexpr Shape kProcCkpt{100, 0, 16, 10, 245, 0};
+  // train-thread: width 8 in 2 heads of 4, wikipedia_like(2.0)'s 16
+  // edge features over its 24,000 events, Φ 4.
+  static constexpr Shape kThread{8, 16, 4, 10, 1195, 24000};
+  // serve-stream: width 32, Φ 16, K = 8, wikipedia_like(1.0)'s edges.
+  static constexpr Shape kServe{32, 16, 16, 8, 400, 12000};
+
+  Shape shape;
   nn::TemporalAttention attn;
-  Matrix roots, table, edge, dout;
-  std::vector<std::size_t> root_index, index, valid;
+  Matrix roots, table, edges, dout;
+  std::vector<std::size_t> root_index, index, edge_index, valid;
   std::vector<float> dt;
 
-  static nn::AttentionDims dims() {
-    return {.node_dim = kWidth, .edge_dim = 0, .time_dim = 16,
-            .attn_dim = kWidth, .out_dim = kWidth, .num_heads = 2,
-            .max_neighbors = kK};
+  static nn::AttentionDims dims(const Shape& s) {
+    return {.node_dim = s.width, .edge_dim = s.edge_dim,
+            .time_dim = s.time_dim, .attn_dim = s.width, .out_dim = s.width,
+            .num_heads = 2, .max_neighbors = s.K};
   }
-  AttentionAtWorkload(std::size_t n, std::size_t root_rows, Rng&& rng)
-      : attn("a", dims(), rng),
-        roots(random_matrix(root_rows, kWidth, rng)),
-        table(random_matrix(kUnique, kWidth, rng)),
-        edge(n * kK, 0),
-        dout(random_matrix(n, kWidth, rng)),
+  AttentionAtWorkload(const Shape& s, std::size_t n, std::size_t root_rows,
+                      Rng&& rng)
+      : shape(s),
+        attn("a", dims(s), rng),
+        roots(random_matrix(root_rows, s.width, rng)),
+        table(random_matrix(s.unique, s.width, rng)),
+        edges(random_matrix(s.edge_rows, s.edge_dim, rng)),
+        dout(random_matrix(n, s.width, rng)),
         root_index(n),
-        index(n * kK),
-        valid(n, kK),
-        dt(n * kK) {
-    for (std::size_t& i : index) i = rng.uniform_int(kUnique);
+        index(n * s.K),
+        edge_index(s.edge_dim > 0 ? n * s.K : 0),
+        valid(n, s.K),
+        dt(n * s.K) {
+    for (std::size_t& i : index) i = rng.uniform_int(s.unique);
+    for (std::size_t& i : edge_index) i = rng.uniform_int(s.edge_rows);
     for (float& d : dt) d = static_cast<float>(rng.uniform(0.0, 1e4));
     for (std::size_t r = 0; r < n; ++r)
       root_index[r] = r < root_rows ? r : rng.uniform_int(root_rows);
   }
   const Matrix& forward(nn::TemporalAttention::Ctx& ctx, const nn::Pass& pass) {
-    return attn.forward(roots, root_index, table, index, edge, dt, valid,
-                        &ctx, pass);
+    return attn.forward(roots, root_index, table, index, edges, edge_index,
+                        dt, valid, &ctx, pass);
+  }
+  // A training step: forward, then backward. Items are slots.
+  void step(benchmark::State& state) {
+    nn::TemporalAttention::Ctx ctx;
+    nn::TemporalAttention::InputGrads grads;
+    for (auto _ : state) {
+      forward(ctx, nn::Pass{});
+      attn.backward_into(ctx, dout, grads);
+      benchmark::DoNotOptimize(grads.dneigh_repr.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * index.size());
+  }
+  // One inference forward. Items are slots.
+  void infer(benchmark::State& state) {
+    nn::TemporalAttention::Ctx ctx;
+    for (auto _ : state) {
+      const Matrix& out = forward(ctx, nn::Pass{.train = false});
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * index.size());
   }
 };
 
-// A training step's attention: 884 roots over 190 distinct rows, 8,840
-// slots, forward then backward, the repetition of train-proc-ckpt's
-// training batches (300 events with one negative each: 900 roots over
-// 188-199 rows). Items are slots.
+// A train-proc-ckpt training step's attention: 884 roots over 190
+// distinct rows, 8,840 slots, the repetition of its training batches
+// (300 events with one negative each: 900 roots over 188-199 rows).
 void BM_AttentionStep(benchmark::State& state) {
-  AttentionAtWorkload w(884, 190, Rng(6));
-  nn::TemporalAttention::Ctx ctx;
-  nn::TemporalAttention::InputGrads grads;
-  for (auto _ : state) {
-    w.forward(ctx, nn::Pass{});
-    w.attn.backward_into(ctx, w.dout, grads);
-    benchmark::DoNotOptimize(grads.dneigh_repr.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * 884 * AttentionAtWorkload::kK);
+  AttentionAtWorkload(AttentionAtWorkload::kProcCkpt, 884, 190, Rng(6))
+      .step(state);
 }
 BENCHMARK(BM_AttentionStep);
 
-// The final evaluation's batch: 300 events x (2 + 49 negatives) = 15,300
-// roots over 192 distinct rows (about 190 in train-proc-ckpt's), 153,000
-// slots, one inference forward. Items are slots.
+// train-proc-ckpt's final evaluation batch: 300 events x (2 + 49
+// negatives) = 15,300 roots over 192 distinct rows (about 190 in the
+// workload's), 153,000 slots.
 void BM_AttentionEvalForward(benchmark::State& state) {
-  AttentionAtWorkload w(15300, 192, Rng(7));
-  nn::TemporalAttention::Ctx ctx;
-  for (auto _ : state) {
-    const Matrix& out = w.forward(ctx, nn::Pass{.train = false});
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * 15300 * AttentionAtWorkload::kK);
+  AttentionAtWorkload(AttentionAtWorkload::kProcCkpt, 15300, 192, Rng(7))
+      .infer(state);
 }
 BENCHMARK(BM_AttentionEvalForward);
+
+// A train-thread training step's attention: 600 events x (2 + 4
+// negatives) = 3,600 roots over 717 distinct rows, 1,195 table rows,
+// 36,000 slots.
+void BM_AttentionThreadStep(benchmark::State& state) {
+  AttentionAtWorkload(AttentionAtWorkload::kThread, 3600, 717, Rng(10))
+      .step(state);
+}
+BENCHMARK(BM_AttentionThreadStep);
+
+// A serve-stream request's forward: 64 events' 128 roots over 110
+// distinct rows, 1,024 slots.
+void BM_AttentionServeForward(benchmark::State& state) {
+  AttentionAtWorkload(AttentionAtWorkload::kServe, 128, 110, Rng(11))
+      .infer(state);
+}
+BENCHMARK(BM_AttentionServeForward);
 
 // The final evaluation's link-prediction head: 300 events, each scored
 // against its destination and 49 negatives, embedding and hidden width

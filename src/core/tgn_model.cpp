@@ -127,10 +127,14 @@ const Matrix& TGNModel::embed(const MiniBatch& mb, const MemorySlice& slice,
   Matrix& roots = ws.mat(0, 0);
   repr.gather_rows_into(ctx.root_nodes, roots);
 
+  // Each slot's neighbor row, Δt and edge row (the attention reads the
+  // graph's edge features in place, by edge index; none when there are
+  // no edge features).
   const std::size_t edim = graph_->edge_feat_dim();
   std::vector<std::size_t>& neigh_index = ws.indices();
   neigh_index.resize(Rv * K);
-  Matrix& edge_feat = ws.mat(Rv * K, edim);
+  std::vector<std::size_t>& edge_index = ws.indices();
+  edge_index.resize(edim > 0 ? Rv * K : 0);
   std::vector<float>& dt = ws.floats(Rv * K);
   std::vector<std::size_t>& valid = ws.indices();
   valid.resize(Rv);
@@ -138,9 +142,7 @@ const Matrix& TGNModel::embed(const MiniBatch& mb, const MemorySlice& slice,
     valid[r] = mb.roots.valid[global_root(r)];
     DT_CHECK_LE(valid[r], K);
   }
-  const bool has_ef = graph_->has_edge_features();
-  parallel_rows(pool, Rv, K * (edim + 2),
-                [&](std::size_t lo, std::size_t hi) {
+  parallel_rows(pool, Rv, 3 * K, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t r = lo; r < hi; ++r) {
       const std::size_t g = global_root(r);
       for (std::size_t k = 0; k < valid[r]; ++k) {
@@ -149,20 +151,16 @@ const Matrix& TGNModel::embed(const MiniBatch& mb, const MemorySlice& slice,
         // convention; it directly encodes how recent the relationship is,
         // which the recency-driven workloads need).
         dt[r * K + k] = mb.roots.neigh_dt[g * K + k];
-        if (has_ef) {
-          std::memcpy(
-              edge_feat.row_ptr(r * K + k),
-              graph_->edge_features().row_ptr(mb.roots.neigh_edge[g * K + k]),
-              edim * sizeof(float));
-        }
+        if (edim > 0) edge_index[r * K + k] = mb.roots.neigh_edge[g * K + k];
       }
       // The attention never reads an empty window slot; its Δt stays 0
       // from ws.floats.
     }
   });
 
-  return attention_.forward(roots, root_index, repr, neigh_index, edge_feat,
-                            dt, valid, &ctx.attn_ctx, pass);
+  return attention_.forward(roots, root_index, repr, neigh_index,
+                            graph_->edge_features(), edge_index, dt, valid,
+                            &ctx.attn_ctx, pass);
 }
 
 void TGNModel::embed_backward(EmbedCtx& ctx, const Matrix& demb) {

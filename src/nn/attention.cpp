@@ -6,36 +6,306 @@
 #include "nn/init.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace disttgl::nn {
 
 namespace {
 using kernel::Layout;
+using kernel::load4;
+using kernel::load8;
+using kernel::store4;
+using kernel::store8;
+using kernel::v4sf;
+using kernel::v8sf;
+
+// Roots the forward scores, normalizes and aggregates per block: the
+// block's scores (H·K floats a root) stay in L1 between the passes, and
+// the softmax's exponentials run as one call per block and head.
+constexpr std::size_t kRootBlock = 64;
 
 // Per-root attention scale 1/sqrt(|N_v|) from Eq. 7.
-float root_scale(std::size_t valid) {
+DT_KERNEL_INLINE float root_scale(std::size_t valid) {
   return valid == 0 ? 0.0f : 1.0f / std::sqrt(static_cast<float>(valid));
 }
 
-// One slot's tail T = {E_vw || Φ(Δt)}, read as its two blocks in place.
-struct Tail {
-  const float* e;
-  std::size_t de;
-  const float* phi;
-  std::size_t dp;
+// What the slot kernels read and write. Slot s = r·K + k of root r
+// reads row index[s] of Kt and Vt, row edge_index[s] of the edge table
+// (only when de > 0) and row s of Φ(Δt); root r reads row
+// root_index[r] of q and qt. Rows of q, Kt, Vt are H·dh wide, of qt
+// and tbar H·(de + dp): one tail per head. Each kernel copies this into
+// a local first, so its stores (through may_alias vector types) do not
+// make it reload the fields.
+struct Slots {
+  std::size_t K = 0, H = 0, dh = 0, de = 0, dp = 0;
+  const std::size_t* root_index = nullptr;
+  const std::size_t* valid = nullptr;
+  const std::size_t* index = nullptr;
+  const std::size_t* edge_index = nullptr;
+  const float* edges = nullptr;
+  const float* phi = nullptr;
+  const float* q = nullptr;
+  const float* qt = nullptr;
+  const float* kt = nullptr;
+  const float* vt = nullptr;
+  Matrix* alpha = nullptr;  // per head: [n x K]
+  // Forward outputs.
+  float* h_att = nullptr;
+  float* tbar = nullptr;
+  // Backward: inputs, outputs and a root's [H x K] dα scratch.
+  const float* dh_att = nullptr;
+  const float* dtbar = nullptr;
+  float* dq = nullptr;
+  float* dqt = nullptr;
+  float* dkt = nullptr;
+  float* dvt = nullptr;
+  float* dphi = nullptr;
+  float* dalpha = nullptr;
+};
 
-  float dot(const float* w) const {
-    float acc = 0.0f;
-    for (std::size_t j = 0; j < de; ++j) acc += w[j] * e[j];
-    for (std::size_t j = 0; j < dp; ++j) acc += w[de + j] * phi[j];
-    return acc;
-  }
-  void axpy(float a, float* y) const {
-    for (std::size_t j = 0; j < de; ++j) y[j] += a * e[j];
-    for (std::size_t j = 0; j < dp; ++j) y[de + j] += a * phi[j];
+// Row k of a root's slots in a table: base + idx[k]·ld.
+struct IndexedRows {
+  const float* base;
+  std::size_t ld;
+  const std::size_t* idx;
+  DT_KERNEL_INLINE const float* operator()(std::size_t k) const {
+    return base + idx[k] * ld;
   }
 };
+
+// Row k of a root's slots in a per-slot matrix: base + k·ld.
+struct SlotRows {
+  const float* base;
+  std::size_t ld;
+  DT_KERNEL_INLINE const float* operator()(std::size_t k) const {
+    return base + k * ld;
+  }
+};
+
+// A dot product's 8-lane, 4-lane and scalar partial sums, fed in
+// blocks of w floats and summed once.
+struct Dot {
+  v8sf s8{};
+  v4sf s4{};
+  float s1 = 0.0f;
+
+  DT_KERNEL_INLINE void add(const float* x, const float* y, std::size_t w) {
+    std::size_t c = 0;
+    for (; c + 8 <= w; c += 8) s8 += load8(x + c) * load8(y + c);
+    if (c + 4 <= w) {
+      s4 += load4(x + c) * load4(y + c);
+      c += 4;
+    }
+    for (; c < w; ++c) s1 += x[c] * y[c];
+  }
+  DT_KERNEL_INLINE float sum() const {
+    const v4sf h = __builtin_shufflevector(s8, s8, 0, 1, 2, 3) +
+                   __builtin_shufflevector(s8, s8, 4, 5, 6, 7) + s4;
+    const v4sf p = h + __builtin_shufflevector(h, h, 2, 3, 0, 1);
+    return p[0] + p[1] + s1;
+  }
+};
+
+// y[0, w) = Σ_{k<m} a[k]·x(k)[0, w), or y += that sum (kAdd): two
+// 8-lane blocks at a time, then one, a 4-lane block and the scalars,
+// each summed over the slots in registers and stored once. Every
+// element sums its products in slot order, whatever its place in y.
+template <bool kAdd, class Rows>
+DT_KERNEL_INLINE void weighted_sum(const float* a, std::size_t m, Rows x,
+                                   std::size_t w, float* y) {
+  std::size_t c = 0;
+  for (; c + 16 <= w; c += 16) {
+    v8sf s0{}, s1{};
+    for (std::size_t k = 0; k < m; ++k) {
+      const v8sf ak = v8sf{} + a[k];
+      const float* xk = x(k) + c;
+      s0 += ak * load8(xk);
+      s1 += ak * load8(xk + 8);
+    }
+    store8(y + c, kAdd ? load8(y + c) + s0 : s0);
+    store8(y + c + 8, kAdd ? load8(y + c + 8) + s1 : s1);
+  }
+  if (c + 8 <= w) {
+    v8sf s0{};
+    for (std::size_t k = 0; k < m; ++k) s0 += (v8sf{} + a[k]) * load8(x(k) + c);
+    store8(y + c, kAdd ? load8(y + c) + s0 : s0);
+    c += 8;
+  }
+  if (c + 4 <= w) {
+    v4sf s0{};
+    for (std::size_t k = 0; k < m; ++k) s0 += (v4sf{} + a[k]) * load4(x(k) + c);
+    store4(y + c, kAdd ? load4(y + c) + s0 : s0);
+    c += 4;
+  }
+  for (; c < w; ++c) {
+    float s0 = 0.0f;
+    for (std::size_t k = 0; k < m; ++k) s0 += a[k] * x(k)[c];
+    y[c] = kAdd ? y[c] + s0 : s0;
+  }
+}
+
+// y[0, w) += a·x[0, w).
+DT_KERNEL_INLINE void axpy(float a, const float* x, std::size_t w, float* y) {
+  std::size_t c = 0;
+  for (; c + 8 <= w; c += 8)
+    store8(y + c, load8(y + c) + (v8sf{} + a) * load8(x + c));
+  if (c + 4 <= w) {
+    store4(y + c, load4(y + c) + (v4sf{} + a) * load4(x + c));
+    c += 4;
+  }
+  for (; c < w; ++c) y[c] += a * x[c];
+}
+
+// Forward, roots [lo, hi): every valid slot's score per head,
+// (q_h·Kt_h + qt_h·T)/sqrt(|N_v|), into alpha[h]'s rows, for the
+// masked softmax to normalize in place.
+DT_KERNEL_CLONES
+void score_slots(const Slots& args, std::size_t lo, std::size_t hi) {
+  const Slots a = args;
+  const std::size_t T = a.de + a.dp, da = a.H * a.dh;
+  for (std::size_t r = lo; r < hi; ++r) {
+    const std::size_t m = a.valid[r];
+    const float scale = root_scale(m);
+    const float* q = a.q + a.root_index[r] * da;
+    const float* qt = a.qt + a.root_index[r] * a.H * T;
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::size_t s = r * a.K + k;
+      const float* kt = a.kt + a.index[s] * da;
+      const float* e = a.de > 0 ? a.edges + a.edge_index[s] * a.de : nullptr;
+      const float* phi = a.phi + s * a.dp;
+      for (std::size_t h = 0; h < a.H; ++h) {
+        Dot dot;
+        dot.add(q + h * a.dh, kt + h * a.dh, a.dh);
+        dot.add(qt + h * T, e, a.de);
+        dot.add(qt + h * T + a.de, phi, a.dp);
+        a.alpha[h].row_ptr(r)[k] = dot.sum() * scale;
+      }
+    }
+  }
+}
+
+// Forward, roots [lo, hi), after the softmax: h_att_h = Σ_k α_k·Vt_h
+// and tbar_h = Σ_k α_k·T over each root's valid slots, every row
+// written once (zeros for a root with none).
+DT_KERNEL_CLONES
+void aggregate_slots(const Slots& args, std::size_t lo, std::size_t hi) {
+  const Slots a = args;
+  const std::size_t T = a.de + a.dp, da = a.H * a.dh;
+  for (std::size_t r = lo; r < hi; ++r) {
+    const std::size_t m = a.valid[r], s0 = r * a.K;
+    float* hrow = a.h_att + r * da;
+    float* tbrow = a.tbar + r * a.H * T;
+    const SlotRows phi{a.phi + s0 * a.dp, a.dp};
+    for (std::size_t h = 0; h < a.H; ++h) {
+      const float* alpha = a.alpha[h].row_ptr(r);
+      weighted_sum<false>(alpha, m,
+                          IndexedRows{a.vt + h * a.dh, da, a.index + s0}, a.dh,
+                          hrow + h * a.dh);
+      if (a.de > 0)
+        weighted_sum<false>(alpha, m,
+                            IndexedRows{a.edges, a.de, a.edge_index + s0},
+                            a.de, tbrow + h * T);
+      weighted_sum<false>(alpha, m, phi, a.dp, tbrow + h * T + a.de);
+    }
+  }
+}
+
+// Backward, every root in order, so the scatter-adds into dKt and dVt
+// and the adds onto dq's and dqt's root rows keep root-then-slot order.
+// Per root: dα (dVt scattered as it goes); the softmax's backward and
+// the root scale, in dalpha; dq and dqt summed over the slots and
+// added once; dKt scattered; dΦ(Δt) written once per slot, with
+// zeros past valid.
+DT_KERNEL_CLONES
+void backward_slots(const Slots& args, std::size_t n) {
+  const Slots a = args;
+  const std::size_t K = a.K, T = a.de + a.dp, da = a.H * a.dh;
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t m = a.valid[r], s0 = r * K;
+    float* dphi = a.dphi + s0 * a.dp;
+    std::fill(dphi + m * a.dp, dphi + K * a.dp, 0.0f);
+    if (m == 0) continue;
+    const std::size_t d = a.root_index[r];
+    const float* q = a.q + d * da;
+    const float* qt = a.qt + d * a.H * T;
+    const float* g = a.dh_att + r * da;
+    const float* dtb = a.dtbar + r * a.H * T;
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::size_t s = s0 + k;
+      const float* v = a.vt + a.index[s] * da;
+      float* dv = a.dvt + a.index[s] * da;
+      const float* e = a.de > 0 ? a.edges + a.edge_index[s] * a.de : nullptr;
+      const float* phi = a.phi + s * a.dp;
+      for (std::size_t h = 0; h < a.H; ++h) {
+        Dot dot;
+        dot.add(g + h * a.dh, v + h * a.dh, a.dh);
+        dot.add(dtb + h * T, e, a.de);
+        dot.add(dtb + h * T + a.de, phi, a.dp);
+        a.dalpha[h * K + k] = dot.sum();
+        axpy(a.alpha[h].row_ptr(r)[k], g + h * a.dh, a.dh, dv + h * a.dh);
+      }
+    }
+    // ds = α·(dα − Σ α·dα)/sqrt(|N_v|), in place of dα.
+    const float scale = root_scale(m);
+    for (std::size_t h = 0; h < a.H; ++h) {
+      const float* alpha = a.alpha[h].row_ptr(r);
+      float* ds = a.dalpha + h * K;
+      float dot = 0.0f;
+      for (std::size_t k = 0; k < m; ++k) dot += alpha[k] * ds[k];
+      for (std::size_t k = 0; k < m; ++k)
+        ds[k] = alpha[k] * (ds[k] - dot) * scale;
+    }
+    float* dq = a.dq + d * da;
+    float* dqt = a.dqt + d * a.H * T;
+    for (std::size_t h = 0; h < a.H; ++h) {
+      const float* ds = a.dalpha + h * K;
+      weighted_sum<true>(ds, m, IndexedRows{a.kt + h * a.dh, da, a.index + s0},
+                         a.dh, dq + h * a.dh);
+      if (a.de > 0)
+        weighted_sum<true>(ds, m, IndexedRows{a.edges, a.de, a.edge_index + s0},
+                           a.de, dqt + h * T);
+      weighted_sum<true>(ds, m, SlotRows{a.phi + s0 * a.dp, a.dp}, a.dp,
+                         dqt + h * T + a.de);
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      float* dk = a.dkt + a.index[s0 + k] * da;
+      for (std::size_t h = 0; h < a.H; ++h)
+        axpy(a.dalpha[h * K + k], q + h * a.dh, a.dh, dk + h * a.dh);
+      // dΦ(Δt)_k = Σ_h α_h,k·dtbar_h + ds_h,k·qt_h over Φ's columns.
+      float* y = dphi + k * a.dp;
+      std::size_t c = 0;
+      for (; c + 8 <= a.dp; c += 8) {
+        v8sf acc{};
+        for (std::size_t h = 0; h < a.H; ++h) {
+          const std::size_t j = h * T + a.de + c;
+          acc += (v8sf{} + a.alpha[h].row_ptr(r)[k]) * load8(dtb + j);
+          acc += (v8sf{} + a.dalpha[h * K + k]) * load8(qt + j);
+        }
+        store8(y + c, acc);
+      }
+      if (c + 4 <= a.dp) {
+        v4sf acc{};
+        for (std::size_t h = 0; h < a.H; ++h) {
+          const std::size_t j = h * T + a.de + c;
+          acc += (v4sf{} + a.alpha[h].row_ptr(r)[k]) * load4(dtb + j);
+          acc += (v4sf{} + a.dalpha[h * K + k]) * load4(qt + j);
+        }
+        store4(y + c, acc);
+        c += 4;
+      }
+      for (; c < a.dp; ++c) {
+        float acc = 0.0f;
+        for (std::size_t h = 0; h < a.H; ++h) {
+          const std::size_t j = h * T + a.de + c;
+          acc += a.alpha[h].row_ptr(r)[k] * dtb[j];
+          acc += a.dalpha[h * K + k] * qt[j];
+        }
+        y[c] = acc;
+      }
+    }
+  }
+}
 
 // Rows of W_k and W_v: {S_w || E_vw || Φ(Δt)}.
 std::size_t kv_in(const AttentionDims& d) {
@@ -93,8 +363,9 @@ TemporalAttention::TemporalAttention(std::string name, const AttentionDims& dims
 const Matrix& TemporalAttention::forward(
     const Matrix& root_table, std::span<const std::size_t> root_index,
     const Matrix& neigh_table, std::span<const std::size_t> neigh_index,
-    const Matrix& edge_feat, std::span<const float> dt,
-    std::span<const std::size_t> valid, Ctx* ctx, const Pass& pass) const {
+    const Matrix& edge_table, std::span<const std::size_t> edge_index,
+    std::span<const float> dt, std::span<const std::size_t> valid, Ctx* ctx,
+    const Pass& pass) const {
   DT_CHECK(ctx != nullptr);
   const std::size_t n = root_index.size();
   const std::size_t Ur = root_table.rows();
@@ -112,16 +383,18 @@ const Matrix& TemporalAttention::forward(
   DT_CHECK_EQ(neigh_table.cols(), dn);
   DT_CHECK_EQ(neigh_index.size(), n * K);
   if (de > 0) {
-    DT_CHECK_EQ(edge_feat.rows(), n * K);
-    DT_CHECK_EQ(edge_feat.cols(), de);
+    DT_CHECK_EQ(edge_table.cols(), de);
+    DT_CHECK_EQ(edge_index.size(), n * K);
   }
   DT_CHECK_EQ(dt.size(), n * K);
   DT_CHECK_EQ(valid.size(), n);
   for (std::size_t r = 0; r < n; ++r) {
     DT_CHECK_LT(root_index[r], Ur);
     DT_CHECK_LE(valid[r], K);
-    for (std::size_t k = 0; k < valid[r]; ++k)
+    for (std::size_t k = 0; k < valid[r]; ++k) {
       DT_CHECK_LT(neigh_index[r * K + k], U);
+      if (de > 0) DT_CHECK_LT(edge_index[r * K + k], edge_table.rows());
+    }
   }
   ThreadPool* pool = pass.pool;
 
@@ -129,9 +402,10 @@ const Matrix& TemporalAttention::forward(
     ctx->root_index.assign(root_index.begin(), root_index.end());
     ctx->valid.assign(valid.begin(), valid.end());
     ctx->index.assign(neigh_index.begin(), neigh_index.end());
+    if (de > 0) ctx->edge_index.assign(edge_index.begin(), edge_index.end());
+    ctx->edges = de > 0 ? &edge_table : nullptr;
     ctx->roots = root_table;
     ctx->table = neigh_table;
-    if (de > 0) ctx->edge = edge_feat;
   }
 
   // Query, once per root-table row: Q = R·W_q,top + c, where the Φ(0)
@@ -158,48 +432,30 @@ const Matrix& TemporalAttention::forward(
                  ctx->qt.data() + h * (de + dp), ldt, /*accumulate=*/false,
                  pool);
 
-  // Per-head scaled dot-product with masked softmax over valid slots.
-  // Rows are independent: each root's heads score, normalize (in place
-  // in alpha) and aggregate its own window, reading its root-table
-  // row's q and qt, its slots' rows of Kt and Vt and their tails.
+  // The slot kernels, a block of roots at a time: every head's scores,
+  // the masked softmax in place in alpha, then h_att and tbar. Rows are
+  // independent, so a block's bits do not depend on the split.
   ctx->alpha.resize(H);
   for (Matrix& alpha : ctx->alpha) alpha.reset_shape(n, K);
   ctx->h_att.reset_shape(n, da);
   ctx->tbar.reset_shape(n, ldt);
-  const Matrix& phidt = ctx->phidt;
+  const Slots slots{
+      .K = K, .H = H, .dh = dh, .de = de, .dp = dp,
+      .root_index = root_index.data(), .valid = valid.data(),
+      .index = neigh_index.data(), .edge_index = edge_index.data(),
+      .edges = edge_table.data(), .phi = ctx->phidt.data(),
+      .q = ctx->q.data(), .qt = ctx->qt.data(), .kt = ctx->kt.data(),
+      .vt = ctx->vt.data(), .alpha = ctx->alpha.data(),
+      .h_att = ctx->h_att.data(), .tbar = ctx->tbar.data()};
   parallel_rows(pool, n, K * 2 * (da + ldt),
                 [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      const float scale = root_scale(valid[r]);
-      float* hrow_all = ctx->h_att.row_ptr(r);
-      std::fill(hrow_all, hrow_all + da, 0.0f);
-      float* tbrow_all = ctx->tbar.row_ptr(r);
-      std::fill(tbrow_all, tbrow_all + ldt, 0.0f);
-      for (std::size_t h = 0; h < H; ++h) {
-        const std::size_t off = h * dh;
-        const float* qrow = ctx->q.row_ptr(root_index[r]) + off;
-        const float* qtrow = ctx->qt.row_ptr(root_index[r]) + h * (de + dp);
-        float* arow = ctx->alpha[h].row_ptr(r);
-        for (std::size_t k = 0; k < valid[r]; ++k) {
-          const std::size_t s = r * K + k;
-          const float* krow = ctx->kt.row_ptr(neigh_index[s]) + off;
-          float acc = 0.0f;
-          for (std::size_t c = 0; c < dh; ++c) acc += qrow[c] * krow[c];
-          const Tail tail{edge_feat.row_ptr(s), de, phidt.row_ptr(s), dp};
-          arow[k] = (acc + tail.dot(qtrow)) * scale;
-        }
-        masked_softmax_row(arow, valid[r], K, arow);
-        float* hrow = hrow_all + off;
-        float* tbrow = tbrow_all + h * (de + dp);
-        for (std::size_t k = 0; k < valid[r]; ++k) {
-          const std::size_t s = r * K + k;
-          const float* vrow = ctx->vt.row_ptr(neigh_index[s]) + off;
-          const float a = arow[k];
-          for (std::size_t c = 0; c < dh; ++c) hrow[c] += a * vrow[c];
-          const Tail tail{edge_feat.row_ptr(s), de, phidt.row_ptr(s), dp};
-          tail.axpy(a, tbrow);
-        }
-      }
+    for (std::size_t b = lo; b < hi; b += kRootBlock) {
+      const std::size_t e = std::min(hi, b + kRootBlock);
+      score_slots(slots, b, e);
+      for (Matrix& alpha : ctx->alpha)
+        masked_softmax_rows(alpha.row_ptr(b), e - b, K,
+                            valid.subspan(b, e - b));
+      aggregate_slots(slots, b, e);
     }
   });
   // The value's tail rows, applied once per root to the folded tail.
@@ -257,84 +513,53 @@ void TemporalAttention::backward_into(Ctx& ctx, const Matrix& dout,
   project_rows_backward(wo_, da, bo_.grad, ctx.roots, ctx.dso,
                         grads.dnode_repr, /*accumulate=*/false);
 
-  // Attention core, per head. Slot gradients land on the neighbor
-  // table's rows (dKt, dVt), the root table's (dq, dqt, summed in root
-  // order), the per-root folded tails (dtbar) and Φ(Δt)'s columns of T.
+  // Backward of h_att_h += tbar_h·W_v,tail,h, per head.
   const float* wk_tail = wk_.value.row_ptr(dn);
   const float* wv_tail = wv_.value.row_ptr(dn);
   float* gwk_tail = wk_.grad.row_ptr(dn);
   float* gwv_tail = wv_.grad.row_ptr(dn);
+  ctx.dtbar.reset_shape(n, ldt);
+  for (std::size_t h = 0; h < H; ++h) {
+    kernel::gemm(Layout::kTransposed, Layout::kNormal, de + dp, dh, n,
+                 ctx.tbar.data() + h * (de + dp), ldt,
+                 ctx.dh_att.data() + h * dh, da, gwv_tail + h * dh, da,
+                 /*accumulate=*/true);
+    kernel::gemm(Layout::kNormal, Layout::kTransposed, n, de + dp, dh,
+                 ctx.dh_att.data() + h * dh, da, wv_tail + h * dh, da,
+                 ctx.dtbar.data() + h * (de + dp), ldt, /*accumulate=*/false);
+  }
+
+  // The slot kernel. Slot gradients land on the neighbor table's rows
+  // (dKt, dVt), the root table's (dq, dqt, summed in root order) and
+  // Φ(Δt)'s columns of T.
   ctx.dq.resize(Ur, da, 0.0f);
   ctx.dqt.resize(Ur, ldt, 0.0f);
-  ctx.dtbar.reset_shape(n, ldt);
   ctx.dkt.resize(ctx.kt.rows(), da, 0.0f);
   ctx.dvt.resize(ctx.vt.rows(), da, 0.0f);
-  ctx.dphidt.resize(n * K, dp, 0.0f);
+  ctx.dphidt.reset_shape(n * K, dp);
+  ctx.dalpha.resize(H * K);
+  backward_slots(
+      Slots{.K = K, .H = H, .dh = dh, .de = de, .dp = dp,
+            .root_index = ctx.root_index.data(), .valid = ctx.valid.data(),
+            .index = ctx.index.data(), .edge_index = ctx.edge_index.data(),
+            .edges = de > 0 ? ctx.edges->data() : nullptr,
+            .phi = ctx.phidt.data(),
+            .q = ctx.q.data(), .qt = ctx.qt.data(), .kt = ctx.kt.data(),
+            .vt = ctx.vt.data(), .alpha = ctx.alpha.data(),
+            .dh_att = ctx.dh_att.data(), .dtbar = ctx.dtbar.data(),
+            .dq = ctx.dq.data(), .dqt = ctx.dqt.data(), .dkt = ctx.dkt.data(),
+            .dvt = ctx.dvt.data(), .dphi = ctx.dphidt.data(),
+            .dalpha = ctx.dalpha.data()},
+      n);
+
+  // Backward of qt_h = q_h·W_k,tail,hᵀ, over the root table's rows.
   for (std::size_t h = 0; h < H; ++h) {
-    const std::size_t off = h * dh;
-    const std::size_t toff = h * (de + dp);
-    // Backward of h_att_h += tbar_h·W_v,tail,h.
-    kernel::gemm(Layout::kTransposed, Layout::kNormal, de + dp, dh, n,
-                 ctx.tbar.data() + toff, ldt, ctx.dh_att.data() + off, da,
-                 gwv_tail + off, da, /*accumulate=*/true);
-    kernel::gemm(Layout::kNormal, Layout::kTransposed, n, de + dp, dh,
-                 ctx.dh_att.data() + off, da, wv_tail + off, da,
-                 ctx.dtbar.data() + toff, ldt, /*accumulate=*/false);
-    const Matrix& alpha = ctx.alpha[h];
-    ctx.dalpha.reset_shape(n, K);
-    for (std::size_t r = 0; r < n; ++r) {
-      const float* grow = ctx.dh_att.row_ptr(r) + off;
-      const float* dtbrow = ctx.dtbar.row_ptr(r) + toff;
-      const float* arow = alpha.row_ptr(r);
-      float* darow = ctx.dalpha.row_ptr(r);
-      for (std::size_t k = 0; k < ctx.valid[r]; ++k) {
-        const std::size_t s = r * K + k;
-        const std::size_t u = ctx.index[s];
-        const float* vrow = ctx.vt.row_ptr(u) + off;
-        float* dvrow = ctx.dvt.row_ptr(u) + off;
-        float acc = 0.0f;
-        for (std::size_t c = 0; c < dh; ++c) {
-          acc += grow[c] * vrow[c];
-          dvrow[c] += arow[k] * grow[c];
-        }
-        const Tail tail{ctx.edge.row_ptr(s), de, ctx.phidt.row_ptr(s), dp};
-        darow[k] = acc + tail.dot(dtbrow);
-        float* dphi = ctx.dphidt.row_ptr(s);
-        for (std::size_t j = 0; j < dp; ++j)
-          dphi[j] += arow[k] * dtbrow[de + j];
-      }
-    }
-    masked_row_softmax_backward_into(alpha, ctx.dalpha, ctx.valid, ctx.dscores);
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::size_t d = ctx.root_index[r];
-      const float scale = root_scale(ctx.valid[r]);
-      const float* qrow = ctx.q.row_ptr(d) + off;
-      const float* qtrow = ctx.qt.row_ptr(d) + toff;
-      float* dqrow = ctx.dq.row_ptr(d) + off;
-      float* dqtrow = ctx.dqt.row_ptr(d) + toff;
-      const float* dsrow = ctx.dscores.row_ptr(r);
-      for (std::size_t k = 0; k < ctx.valid[r]; ++k) {
-        const std::size_t s = r * K + k;
-        const float ds = dsrow[k] * scale;
-        const float* krow = ctx.kt.row_ptr(ctx.index[s]) + off;
-        float* dkrow = ctx.dkt.row_ptr(ctx.index[s]) + off;
-        for (std::size_t c = 0; c < dh; ++c) {
-          dqrow[c] += ds * krow[c];
-          dkrow[c] += ds * qrow[c];
-        }
-        const Tail tail{ctx.edge.row_ptr(s), de, ctx.phidt.row_ptr(s), dp};
-        tail.axpy(ds, dqtrow);
-        float* dphi = ctx.dphidt.row_ptr(s);
-        for (std::size_t j = 0; j < dp; ++j) dphi[j] += ds * qtrow[de + j];
-      }
-    }
-    // Backward of qt_h = q_h·W_k,tail,hᵀ, over the root table's rows.
     kernel::gemm(Layout::kNormal, Layout::kNormal, Ur, dh, de + dp,
-                 ctx.dqt.data() + toff, ldt, wk_tail + off, da,
-                 ctx.dq.data() + off, da, /*accumulate=*/true);
+                 ctx.dqt.data() + h * (de + dp), ldt, wk_tail + h * dh, da,
+                 ctx.dq.data() + h * dh, da, /*accumulate=*/true);
     kernel::gemm(Layout::kTransposed, Layout::kNormal, de + dp, dh, Ur,
-                 ctx.dqt.data() + toff, ldt, ctx.q.data() + off, da,
-                 gwk_tail + off, da, /*accumulate=*/true);
+                 ctx.dqt.data() + h * (de + dp), ldt, ctx.q.data() + h * dh, da,
+                 gwk_tail + h * dh, da, /*accumulate=*/true);
   }
 
   // Query projection, over the root table's rows: Q = R·W_q,top + c and

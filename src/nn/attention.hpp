@@ -43,6 +43,24 @@
 // over the root table's rows. The per-root 1/sqrt(|N_v|) scaling
 // follows the paper (not the more common 1/sqrt(d_head)).
 //
+// Slot kernels. What is left per slot runs in the GEMM micro-kernel's
+// idiom (tensor/simd.hpp: GCC vector extensions, one target_clones body
+// per ISA level), one pass per root over all heads:
+//   forward:  every valid slot's scores, then the masked softmax over a
+//             block of roots (ops.hpp: one vmath::exp per block and
+//             head), then h_att and tbar as weighted sums over the
+//             root's valid slots, each output block written once;
+//   backward: dα, with dVt scattered; the softmax's backward and the
+//             root scale; dq and dqt summed over the slots and added
+//             once to the root's row; dKt scattered, and dΦ(Δt) written
+//             once per slot (zeros past valid).
+// Dot products keep 8-lane, 4-lane and scalar partial sums, so their
+// bits depend on the clone the loader picked (the default clone rounds
+// each product, the x86-64-v3/v4 clones fuse it) as well as on the
+// inputs, never on a pool or how roots split into blocks. Slots reach
+// E_vw in place: row edge_index[s] of the caller's edge table, never
+// copied.
+//
 // The Ctx owns every intermediate tensor the layer touches, so reusing
 // one Ctx across iterations makes forward and backward allocation-free
 // in steady state (same batch shape → same buffer shapes → capacity
@@ -75,7 +93,9 @@ class TemporalAttention : public Module {
     std::vector<std::size_t> root_index;  // each root's root-table row
     std::vector<std::size_t> valid;       // neighbor counts
     std::vector<std::size_t> index;       // each slot's table row
-    Matrix roots, table, edge;            // both tables, E_vw
+    std::vector<std::size_t> edge_index;  // each slot's edge row (de > 0)
+    const Matrix* edges = nullptr;        // the caller's edge table (de > 0)
+    Matrix roots, table;                  // both tables
     // Written by every pass (backward reads them too):
     Matrix phi0;                      // [1 x time_dim] Φ(0)
     Matrix q;                         // [Ur x attn_dim] query per root row
@@ -93,7 +113,8 @@ class TemporalAttention : public Module {
     Matrix dq, dqt, dtbar, dqc, dphi0;  // backward: query-side grads
     Matrix dkt, dvt;                  // backward: per table row K/V grads
     Matrix dphidt;                    // backward: Φ(Δt) grad
-    Matrix dalpha, dscores;           // backward: per-head softmax grads
+    std::vector<float> dalpha;        // backward: a root's [H x K] dα,
+                                      // then its score gradients
   };
 
   TemporalAttention(std::string name, const AttentionDims& dims, Rng& rng);
@@ -104,22 +125,28 @@ class TemporalAttention : public Module {
   // root_index:  [n] each root's row of root_table (< Ur)
   // neigh_table: [U x node_dim] rows the neighbor slots draw from
   // neigh_index: [n*K] each slot's row of neigh_table (< U)
-  // edge_feat:   [n*K x edge_dim] (ignored when edge_dim == 0)
+  // edge_table:  [E x edge_dim] edge features, read in place
+  // edge_index:  [n*K] each slot's row of edge_table (< E)
   // dt:          [n*K] time deltas (event time − neighbor memory time)
   // valid:       [n] populated neighbor counts (≤ K)
   // Every product of a root's representation runs once per row of
   // root_table, so a caller passes the distinct rows its roots use.
-  // Slots at and past valid[r] are never read, but for their Δt: Φ
-  // encodes every slot, so it must be finite. Their index and edge
-  // features may hold anything.
+  // With edge_dim == 0 the edge table and index are never read and may
+  // be empty. Slots at and past valid[r] are never read, but for their
+  // Δt: Φ encodes every slot, so it must be finite. Their index and
+  // edge index may hold anything.
   // Returns a reference to ctx->out ([n x out_dim]), valid until the
   // next forward call on the same Ctx. Only a training `pass` can be
-  // followed by backward.
+  // followed by backward. A training pass keeps the edge index and
+  // borrows edge_table, which must outlive the backward_into that
+  // follows (TGNModel passes its graph's table).
   const Matrix& forward(const Matrix& root_table,
                         std::span<const std::size_t> root_index,
                         const Matrix& neigh_table,
                         std::span<const std::size_t> neigh_index,
-                        const Matrix& edge_feat, std::span<const float> dt,
+                        const Matrix& edge_table,
+                        std::span<const std::size_t> edge_index,
+                        std::span<const float> dt,
                         std::span<const std::size_t> valid, Ctx* ctx,
                         const Pass& pass = {}) const;
 

@@ -32,8 +32,12 @@ Adam::Adam(std::vector<Parameter*> params, Options opts)
 
 void Adam::step() {
   ++t_;
-  const float bc1 = 1.0f - std::pow(opts_.beta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(opts_.beta2, static_cast<float>(t_));
+  // The options in locals: the loop stores floats, which may alias
+  // opts_'s, so read through `this` every element would reload them.
+  const float lr = opts_.lr, beta1 = opts_.beta1, beta2 = opts_.beta2;
+  const float eps = opts_.eps, decay = opts_.weight_decay;
+  const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t_));
+  const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t_));
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter& p = *params_[i];
     float* values = p.value.data();
@@ -42,12 +46,12 @@ void Adam::step() {
     float* v = v_.data() + offsets_[i];
     for (std::size_t j = 0; j < p.value.size(); ++j) {
       float g = grads[j];
-      if (opts_.weight_decay > 0.0f) g += opts_.weight_decay * values[j];
-      m[j] = opts_.beta1 * m[j] + (1.0f - opts_.beta1) * g;
-      v[j] = opts_.beta2 * v[j] + (1.0f - opts_.beta2) * g * g;
+      if (decay > 0.0f) g += decay * values[j];
+      m[j] = beta1 * m[j] + (1.0f - beta1) * g;
+      v[j] = beta2 * v[j] + (1.0f - beta2) * g * g;
       const float mhat = m[j] / bc1;
       const float vhat = v[j] / bc2;
-      values[j] -= opts_.lr * mhat / (std::sqrt(vhat) + opts_.eps);
+      values[j] -= lr * mhat / (std::sqrt(vhat) + eps);
     }
   }
 }

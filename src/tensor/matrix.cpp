@@ -194,18 +194,6 @@ void Matrix::slice_cols_into(std::size_t lo, std::size_t hi, Matrix& out) const 
   }
 }
 
-void Matrix::slice_rows_into(std::size_t lo, std::size_t hi, Matrix& out) const {
-  DT_CHECK_LE(lo, hi);
-  DT_CHECK_LE(hi, rows_);
-  DT_CHECK(&out != this);
-  out.reset_shape(hi - lo, cols_);
-  // An empty slice (hi == lo, or zero columns) has nothing to copy and
-  // may legitimately have a null destination buffer.
-  if (hi != lo && cols_ != 0)
-    std::memcpy(out.data(), ptr_ + lo * cols_,
-                (hi - lo) * cols_ * sizeof(float));
-}
-
 float Matrix::squared_norm() const {
   double acc = 0.0;
   for (std::size_t i = 0; i < size(); ++i)

@@ -109,8 +109,6 @@ class Matrix {
                                ThreadPool* pool = nullptr);
   // Columns [lo, hi) into a caller-owned output.
   void slice_cols_into(std::size_t lo, std::size_t hi, Matrix& out) const;
-  // Rows [lo, hi) into a caller-owned output.
-  void slice_rows_into(std::size_t lo, std::size_t hi, Matrix& out) const;
 
   // Frobenius norms / reductions, used by grad-clipping and tests.
   float squared_norm() const;

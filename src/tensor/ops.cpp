@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "tensor/gemm.hpp"
 #include "tensor/vmath.hpp"
@@ -70,45 +71,29 @@ void column_sums_acc(const Matrix& dy, Matrix& acc) {
   }
 }
 
-void masked_softmax_row(const float* srow, std::size_t n, std::size_t cols,
-                        float* orow) {
-  // Masked entries carry probability 0 (and the whole row when n == 0:
-  // no neighbors, no attention). Explicit so reused buffers stay clean.
-  for (std::size_t c = n; c < cols; ++c) orow[c] = 0.0f;
-  if (n == 0) return;
-  float mx = srow[0];
-  for (std::size_t c = 1; c < n; ++c) mx = std::max(mx, srow[c]);
-  for (std::size_t c = 0; c < n; ++c) orow[c] = srow[c] - mx;
-  vmath::exp(orow, n, orow);
-  float denom = 0.0f;
-  for (std::size_t c = 0; c < n; ++c) denom += orow[c];
-  const float inv = 1.0f / denom;
-  for (std::size_t c = 0; c < n; ++c) orow[c] *= inv;
-}
-
-void masked_row_softmax_backward_into(const Matrix& y, const Matrix& dy,
-                                      std::span<const std::size_t> valid,
-                                      Matrix& dx) {
-  DT_CHECK(y.same_shape(dy));
-  DT_CHECK_EQ(valid.size(), y.rows());
-  DT_CHECK(&dx != &y);
-  dx.reset_shape(y.rows(), y.cols());
-  for (std::size_t r = 0; r < y.rows(); ++r) {
+void masked_softmax_rows(float* x, std::size_t rows, std::size_t cols,
+                         std::span<const std::size_t> valid) {
+  DT_CHECK_EQ(valid.size(), rows);
+  for (std::size_t r = 0; r < rows; ++r) {
     const std::size_t n = valid[r];
-    float* drow = dx.row_ptr(r);
-    for (std::size_t c = n; c < y.cols(); ++c) drow[c] = 0.0f;
-    if (n == 0) continue;
-    const float* yrow = y.row_ptr(r);
-    const float* grow = dy.row_ptr(r);
-    float dot = 0.0f;
-    for (std::size_t c = 0; c < n; ++c) dot += yrow[c] * grow[c];
-    for (std::size_t c = 0; c < n; ++c) drow[c] = yrow[c] * (grow[c] - dot);
+    DT_CHECK_LE(n, cols);
+    float* row = x + r * cols;
+    float mx = n > 0 ? row[0] : 0.0f;
+    for (std::size_t c = 1; c < n; ++c) mx = std::max(mx, row[c]);
+    for (std::size_t c = 0; c < n; ++c) row[c] -= mx;
+    for (std::size_t c = n; c < cols; ++c)
+      row[c] = -std::numeric_limits<float>::infinity();
   }
-}
-
-void relu_inplace(Matrix& x) {
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x.data()[i] = std::max(0.0f, x.data()[i]);
+  vmath::exp(x, rows * cols, x);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t n = valid[r];
+    if (n == 0) continue;
+    float* row = x + r * cols;
+    float denom = 0.0f;
+    for (std::size_t c = 0; c < n; ++c) denom += row[c];
+    const float inv = 1.0f / denom;
+    for (std::size_t c = 0; c < n; ++c) row[c] *= inv;
+  }
 }
 
 void relu_backward_into(const Matrix& y, const Matrix& dy, Matrix& dx) {

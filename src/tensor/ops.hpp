@@ -43,21 +43,18 @@ void column_sums_acc(const Matrix& dy, Matrix& acc);
 
 // ---- masked softmax ----
 
-// Softmax over the leading `valid` entries of one row: out[0, cols)
-// from scores[0, valid) (out == scores allowed); entries at and beyond
-// valid receive probability 0, the whole row when valid == 0. Masks
+// Softmax, in place, over the leading valid[r] entries of each of
+// `rows` rows of `cols` floats (row r at x + r·cols); entries at and
+// beyond valid[r] receive probability 0, the whole row when valid[r]
+// == 0. Each row's valid entries less their maximum, the masked ones
+// −inf, go through one vmath::exp over the block, so an entry's bits do
+// not depend on how a caller splits its rows into blocks. Masks
 // variable neighbor counts in temporal attention, which runs it per
-// root row.
-void masked_softmax_row(const float* scores, std::size_t valid,
-                        std::size_t cols, float* out);
-// Backward of masked_softmax_row over rows: given y = softmax(x) and
-// dL/dy, writes dL/dx with the same masking.
-void masked_row_softmax_backward_into(const Matrix& y, const Matrix& dy,
-                                      std::span<const std::size_t> valid,
-                                      Matrix& dx);
+// block of roots and head.
+void masked_softmax_rows(float* x, std::size_t rows, std::size_t cols,
+                         std::span<const std::size_t> valid);
 
 // ---- ReLU (the GRU's sigmoid/tanh gates run tensor/vmath) ----
-void relu_inplace(Matrix& x);
 // dx = dy ⊙ 1[y > 0], where y = max(x, 0). dx may alias dy.
 void relu_backward_into(const Matrix& y, const Matrix& dy, Matrix& dx);
 

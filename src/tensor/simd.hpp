@@ -1,34 +1,39 @@
-// Private to src/tensor: the 8-lane vector types and the function-
-// multiversioning macro shared by the GEMM micro-kernel (gemm.cpp) and
-// the vector math (vmath.cpp). Both are written with GCC vector
-// extensions (GCC and Clang), and both translation units are built with
-// -ffp-contract=fast (src/tensor/CMakeLists.txt), so a clone with FMA
-// fuses multiply-adds that the default clone rounds twice.
+// Private to the library's three vector kernels: the 8- and 4-lane
+// vector types and the function-multiversioning macro shared by the
+// GEMM micro-kernel (tensor/gemm.cpp), the vector math (tensor/vmath.cpp)
+// and the attention's slot kernels (nn/attention.cpp). All three are
+// written with GCC vector extensions (GCC and Clang), and their
+// translation units are built with -ffp-contract=fast
+// (src/tensor/CMakeLists.txt, src/nn/CMakeLists.txt), so a clone with
+// FMA fuses multiply-adds that the default clone rounds twice.
 #pragma once
 
 #include <cstdint>
 
 #if !defined(__GNUC__)
-#error "src/tensor needs the GCC vector extensions (GCC or Clang)"
+#error "the vector kernels need the GCC vector extensions (GCC or Clang)"
 #endif
 
 namespace disttgl::kernel {
 
-// 8-lane vectors. Casts between equal-sized vector types reinterpret
-// the bits.
+// 8-lane vectors, and the 4-lane float half. Casts between equal-sized
+// vector types reinterpret the bits.
 typedef float v8sf __attribute__((vector_size(32)));
+typedef float v4sf __attribute__((vector_size(16)));
 typedef std::int32_t v8si __attribute__((vector_size(32)));
 typedef std::uint32_t v8su __attribute__((vector_size(32)));
 typedef double v8df __attribute__((vector_size(64)));
 typedef std::int64_t v8di __attribute__((vector_size(64)));
 
-// Eight floats at any float pointer: an unaligned type that may alias
+// Eight (or four) floats at any float pointer: an unaligned type that may alias
 // float, read and written in place. (Loaded through a memcpy into a
 // v8sf local, vmath's loops compiled in the AVX2 clone to two 16-byte
 // stores and a 32-byte reload that cannot be forwarded, which cost
 // several times the math.)
 typedef float v8sf_unaligned
     __attribute__((vector_size(32), aligned(4), may_alias));
+typedef float v4sf_unaligned
+    __attribute__((vector_size(16), aligned(4), may_alias));
 
 inline v8sf load8(const float* p) {
   return *reinterpret_cast<const v8sf_unaligned*>(p);
@@ -36,6 +41,17 @@ inline v8sf load8(const float* p) {
 inline void store8(float* p, v8sf v) {
   *reinterpret_cast<v8sf_unaligned*>(p) = v;
 }
+inline v4sf load4(const float* p) {
+  return *reinterpret_cast<const v4sf_unaligned*>(p);
+}
+inline void store4(float* p, v4sf v) {
+  *reinterpret_cast<v4sf_unaligned*>(p) = v;
+}
+
+// The helpers a kernel calls inside its clones: always inlined, since a
+// call to a copy compiled for the default target would run without the
+// clone's ISA.
+#define DT_KERNEL_INLINE [[gnu::always_inline]] inline
 
 // Function multiversioning: GCC on x86-64/glibc resolves the best clone
 // at load time via ifunc, so the portable baseline binary still runs

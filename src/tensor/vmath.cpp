@@ -16,26 +16,25 @@ using kernel::v8su;
 // Vector casts between equal-sized types reinterpret the bits, so the
 // sign, exponent and quadrant tricks below convert no float to an
 // integer: NaN and out-of-range lanes produce garbage bits, never UB.
-#define DT_VMATH_INLINE [[gnu::always_inline]] inline
 
-DT_VMATH_INLINE v8sf splat(float c) { return v8sf{c, c, c, c, c, c, c, c}; }
-DT_VMATH_INLINE v8su splat_u(std::uint32_t c) {
+DT_KERNEL_INLINE v8sf splat(float c) { return v8sf{c, c, c, c, c, c, c, c}; }
+DT_KERNEL_INLINE v8su splat_u(std::uint32_t c) {
   return v8su{c, c, c, c, c, c, c, c};
 }
-DT_VMATH_INLINE v8df splat_d(double c) {
+DT_KERNEL_INLINE v8df splat_d(double c) {
   return v8df{c, c, c, c, c, c, c, c};
 }
 
 constexpr std::uint32_t kSignBit = 0x80000000u;
 
-DT_VMATH_INLINE v8sf abs8(v8sf x) {
+DT_KERNEL_INLINE v8sf abs8(v8sf x) {
   return (v8sf)((v8su)x & splat_u(~kSignBit));
 }
 
 // Lanes of a where mask (a comparison's all-ones) is set, else of b, by
 // bit operations: the default clone lowers `mask ? a : b` on 8-lane
 // vectors to scalar code, these to SSE2 ands and ors.
-DT_VMATH_INLINE v8sf select(v8si mask, v8sf a, v8sf b) {
+DT_KERNEL_INLINE v8sf select(v8si mask, v8sf a, v8sf b) {
   return (v8sf)(((v8su)mask & (v8su)a) | (~(v8su)mask & (v8su)b));
 }
 
@@ -48,7 +47,7 @@ DT_VMATH_INLINE v8sf select(v8si mask, v8sf a, v8sf b) {
 // at the end (a product that underflows costs a microcode assist on
 // x86); the clamp at 89 keeps n ≤ 129. NaN passes every comparison
 // untouched.
-DT_VMATH_INLINE v8sf exp8(v8sf x) {
+DT_KERNEL_INLINE v8sf exp8(v8sf x) {
   const v8si under = x < splat(-104.0f);
   x = select(under, splat(0.0f), x);
   x = select(x > splat(89.0f), splat(89.0f), x);
@@ -78,7 +77,7 @@ DT_VMATH_INLINE v8sf exp8(v8sf x) {
 // float for Cephes' sinf/cosf polynomials on |r| ≤ π/4, and k mod 4
 // (the shifter's low mantissa bits) picks the polynomial and the sign.
 template <std::int32_t kQoff>
-DT_VMATH_INLINE v8sf cos8(v8sf x) {
+DT_KERNEL_INLINE v8sf cos8(v8sf x) {
   const v8df xd = __builtin_convertvector(x, v8df);
   const v8df shifter = splat_d(6755399441055744.0);  // 1.5 · 2^52
   const v8df t = xd * splat_d(0.63661977236758134308) + shifter;
@@ -109,7 +108,7 @@ DT_VMATH_INLINE v8sf cos8(v8sf x) {
 }
 
 // 1/(1 + e^−|x|), and e^−|x| times it for negative x.
-DT_VMATH_INLINE v8sf sigmoid8(v8sf x) {
+DT_KERNEL_INLINE v8sf sigmoid8(v8sf x) {
   const v8sf e = exp8(-abs8(x));
   const v8sf s = splat(1.0f) / (splat(1.0f) + e);
   return select(x < splat(0.0f), e * s, s);
@@ -118,7 +117,7 @@ DT_VMATH_INLINE v8sf sigmoid8(v8sf x) {
 // Cephes tanhf: x + x·z·P(z) (z = x²) below |x| = 0.625, where
 // 1 − 2/(e^2|x| + 1) would cancel, and that form above; the sign is
 // copied from x.
-DT_VMATH_INLINE v8sf tanh8(v8sf x) {
+DT_KERNEL_INLINE v8sf tanh8(v8sf x) {
   const v8sf ax = abs8(x);
   const v8sf z = ax * ax;
   v8sf small = splat(-5.70498872745e-3f);
@@ -142,7 +141,7 @@ DT_VMATH_INLINE v8sf tanh8(v8sf x) {
 // math). (F is a template argument so the call is direct and inlines
 // into each clone.)
 template <v8sf (*F)(v8sf)>
-DT_VMATH_INLINE void map8(const float* x, std::size_t n, float* out) {
+DT_KERNEL_INLINE void map8(const float* x, std::size_t n, float* out) {
   for (std::size_t i = 0; i < n; i += 8) {
     const std::size_t m = n - i < 8 ? n - i : 8;
     const float* p = x + i;

@@ -305,8 +305,7 @@ TEST(IntoOps, BiasAndReductions) {
 }
 
 TEST(IntoOps, ActivationAliasingIsSafe) {
-  Matrix y(1, 4, {-2.0f, -0.5f, 0.5f, 2.0f});
-  relu_inplace(y);
+  const Matrix y(1, 4, {0.0f, 0.0f, 0.5f, 2.0f});  // a ReLU's output
   Matrix dy(1, 4, {1, 2, 3, 4});
   Matrix fresh;
   relu_backward_into(y, dy, fresh);
@@ -339,10 +338,6 @@ TEST(IntoOps, ConcatGatherSlice) {
   out3.slice_cols_into(1, 4, sc);
   EXPECT_EQ(sc.cols(), 3u);
   EXPECT_FLOAT_EQ(sc(0, 0), 2.0f);
-  Matrix sr;
-  out3.slice_rows_into(1, 2, sr);
-  EXPECT_EQ(sr.rows(), 1u);
-  EXPECT_FLOAT_EQ(sr(0, 0), 3.0f);
 }
 
 TEST(WorkspaceTest, SlotsAreStableAndReused) {
@@ -424,10 +419,11 @@ TEST_F(AllocationFree, TemporalAttentionForwardBackwardSteadyState) {
   nn::TemporalAttention attn("a", dims, rng);
   Matrix node = random_matrix(n, 32, rng);
   Matrix neigh = random_matrix(n * K, 32, rng);
-  Matrix edge = random_matrix(n * K, 16, rng);
+  Matrix edges = random_matrix(n * K, 16, rng);
   Matrix dout = random_matrix(n, 32, rng);
   std::vector<std::size_t> slot_rows(n * K);
   std::iota(slot_rows.begin(), slot_rows.end(), std::size_t{0});
+  const std::vector<std::size_t>& edge_rows = slot_rows;
   std::vector<float> dt(n * K, 1.0f);
   std::vector<std::size_t> valid(n, K);
   std::vector<std::size_t> roots(n);
@@ -435,13 +431,14 @@ TEST_F(AllocationFree, TemporalAttentionForwardBackwardSteadyState) {
   nn::TemporalAttention::Ctx ctx;
   nn::TemporalAttention::InputGrads grads;
   for (int i = 0; i < 2; ++i) {
-    attn.forward(node, roots, neigh, slot_rows, edge, dt, valid, &ctx);
+    attn.forward(node, roots, neigh, slot_rows, edges, edge_rows, dt, valid,
+                 &ctx);
     attn.backward_into(ctx, dout, grads);
   }
   const std::size_t before = g_alloc_count.load();
   for (int i = 0; i < 3; ++i) {
-    const Matrix& out =
-        attn.forward(node, roots, neigh, slot_rows, edge, dt, valid, &ctx);
+    const Matrix& out = attn.forward(node, roots, neigh, slot_rows, edges,
+                                     edge_rows, dt, valid, &ctx);
     EXPECT_EQ(out.rows(), n);
   }
   EXPECT_EQ(g_alloc_count.load(), before) << "attention forward allocated";

@@ -107,6 +107,13 @@ Matrix stack_rows(const std::vector<const Matrix*>& parts) {
   return out;
 }
 
+// Rows [lo, hi) of m.
+Matrix row_block(const Matrix& m, std::size_t lo, std::size_t hi) {
+  Matrix out(hi - lo, m.cols());
+  for (std::size_t r = lo; r < hi; ++r) out.copy_row_from(r - lo, m.row(r));
+  return out;
+}
+
 // The head's hidden-layer input {src_e(j) || cand_j}, one row per
 // candidate.
 Matrix pair_inputs(const Matrix& emb, std::size_t n, std::size_t Q) {
@@ -185,7 +192,10 @@ TEST(GradCheck, TemporalAttention) {
   Matrix neigh = random_matrix(n * K, dims.node_dim, rng);
   std::vector<std::size_t> slot_rows(n * K);
   std::iota(slot_rows.begin(), slot_rows.end(), std::size_t{0});
-  Matrix edge = random_matrix(n * K, dims.edge_dim, rng);
+  // One edge-table row per slot, each read in place by its index.
+  Matrix edges = random_matrix(n * K, dims.edge_dim, rng);
+  std::vector<std::size_t> edge_rows(n * K);
+  std::iota(edge_rows.begin(), edge_rows.end(), std::size_t{0});
   std::vector<float> dt = {0.1f, 0.2f, 0.3f, 1.0f, 2.0f, 0.0f,
                            0.5f, 0.6f, 0.7f, 3.0f, 0.0f, 0.0f};
   std::vector<std::size_t> valid = {3, 2, 3, 0};  // includes isolated root
@@ -194,13 +204,14 @@ TEST(GradCheck, TemporalAttention) {
 
   auto loss_fn = [&] {
     nn::TemporalAttention::Ctx c;
-    return weighted_sum(attn.forward(node, roots, neigh, slot_rows, edge, dt,
-                                     valid, &c),
+    return weighted_sum(attn.forward(node, roots, neigh, slot_rows, edges,
+                                     edge_rows, dt, valid, &c),
                         dy);
   };
 
   nn::TemporalAttention::Ctx ctx;
-  attn.forward(node, roots, neigh, slot_rows, edge, dt, valid, &ctx);
+  attn.forward(node, roots, neigh, slot_rows, edges, edge_rows, dt, valid,
+               &ctx);
   attn.zero_grad();
   nn::TemporalAttention::InputGrads grads;
   attn.backward_into(ctx, dy, grads);
@@ -238,7 +249,9 @@ TEST(GradCheck, TemporalAttentionRepeatedTableRows) {
   Matrix node = random_matrix(n, dims.node_dim, rng);
   Matrix table = random_matrix(U, dims.node_dim, rng);
   std::vector<std::size_t> index = {0, 2, 0, 4, 4, 99, 1, 2, 0, 99, 99, 99};
-  Matrix edge = random_matrix(n * 3, dims.edge_dim, rng);
+  Matrix edges = random_matrix(n * 3, dims.edge_dim, rng);
+  std::vector<std::size_t> edge_rows(n * 3);
+  std::iota(edge_rows.begin(), edge_rows.end(), std::size_t{0});
   std::vector<float> dt = {0.1f, 0.2f, 0.3f, 1.0f, 2.0f, 0.0f,
                            0.5f, 0.6f, 0.7f, 3.0f, 0.0f, 0.0f};
   std::vector<std::size_t> valid = {3, 2, 3, 0};
@@ -248,11 +261,13 @@ TEST(GradCheck, TemporalAttentionRepeatedTableRows) {
   auto loss_fn = [&] {
     nn::TemporalAttention::Ctx c;
     return weighted_sum(
-        attn.forward(node, roots, table, index, edge, dt, valid, &c), dy);
+        attn.forward(node, roots, table, index, edges, edge_rows, dt, valid,
+                     &c),
+        dy);
   };
 
   nn::TemporalAttention::Ctx ctx;
-  attn.forward(node, roots, table, index, edge, dt, valid, &ctx);
+  attn.forward(node, roots, table, index, edges, edge_rows, dt, valid, &ctx);
   attn.zero_grad();
   nn::TemporalAttention::InputGrads grads;
   attn.backward_into(ctx, dy, grads);
@@ -290,7 +305,9 @@ TEST(GradCheck, TemporalAttentionRepeatedRoots) {
   const std::vector<std::size_t> root_index = {0, 2, 0, 0, 2, 2};
   std::vector<std::size_t> index = {0, 2, 0, 4, 4, 99, 1, 2, 0,
                                     99, 99, 99, 3, 1, 99, 2, 4, 1};
-  Matrix edge = random_matrix(n * 3, dims.edge_dim, rng);
+  Matrix edges = random_matrix(n * 3, dims.edge_dim, rng);
+  std::vector<std::size_t> edge_rows(n * 3);
+  std::iota(edge_rows.begin(), edge_rows.end(), std::size_t{0});
   std::vector<float> dt = {0.1f, 0.2f, 0.3f, 1.0f, 2.0f, 0.0f,
                            0.5f, 0.6f, 0.7f, 3.0f, 0.0f, 0.0f,
                            1.5f, 0.4f, 0.0f, 0.9f, 2.5f, 0.2f};
@@ -299,13 +316,14 @@ TEST(GradCheck, TemporalAttentionRepeatedRoots) {
 
   auto loss_fn = [&] {
     nn::TemporalAttention::Ctx c;
-    return weighted_sum(attn.forward(roots, root_index, table, index, edge,
-                                     dt, valid, &c),
+    return weighted_sum(attn.forward(roots, root_index, table, index, edges,
+                                     edge_rows, dt, valid, &c),
                         dy);
   };
 
   nn::TemporalAttention::Ctx ctx;
-  attn.forward(roots, root_index, table, index, edge, dt, valid, &ctx);
+  attn.forward(roots, root_index, table, index, edges, edge_rows, dt,
+               valid, &ctx);
   attn.zero_grad();
   nn::TemporalAttention::InputGrads grads;
   attn.backward_into(ctx, dy, grads);
@@ -355,13 +373,9 @@ TEST(GradCheck, EdgePredictor) {
   ASSERT_NO_FATAL_FAILURE(assert_clear_of_relu_kink(
       pair_inputs(emb, n, Q), params[0]->value, params[1]->value));
   for (nn::Parameter* p : pred.parameters()) check_param_grads(*p, loss_fn);
-  Matrix dsrc, ddst, dneg;
-  demb.slice_rows_into(0, n, dsrc);
-  demb.slice_rows_into(n, 2 * n, ddst);
-  demb.slice_rows_into(2 * n, 2 * n + n * Q, dneg);
-  check_input_grads(src, dsrc, loss_fn);
-  check_input_grads(dst, ddst, loss_fn);
-  check_input_grads(neg, dneg, loss_fn);
+  check_input_grads(src, row_block(demb, 0, n), loss_fn);
+  check_input_grads(dst, row_block(demb, n, 2 * n), loss_fn);
+  check_input_grads(neg, row_block(demb, 2 * n, 2 * n + n * Q), loss_fn);
 }
 
 // Edge classification's head: 7 logits per event, no negatives. Rng 6's
@@ -393,11 +407,8 @@ TEST(GradCheck, EdgeClassifier) {
   ASSERT_NO_FATAL_FAILURE(assert_clear_of_relu_kink(
       pair_inputs(emb, n, 0), params[0]->value, params[1]->value));
   for (nn::Parameter* p : cls.parameters()) check_param_grads(*p, loss_fn);
-  Matrix dsrc, ddst;
-  demb.slice_rows_into(0, n, dsrc);
-  demb.slice_rows_into(n, 2 * n, ddst);
-  check_input_grads(src, dsrc, loss_fn);
-  check_input_grads(dst, ddst, loss_fn);
+  check_input_grads(src, row_block(demb, 0, n), loss_fn);
+  check_input_grads(dst, row_block(demb, n, 2 * n), loss_fn);
 }
 
 TEST(GradCheck, LinkPredictionLossGradients) {

@@ -101,13 +101,13 @@ TEST(Attention, OutputShapesAndIsolatedRoots) {
   Matrix neigh = random_matrix(n * K, 4, rng);
   std::vector<std::size_t> slot_rows(n * K);
   std::iota(slot_rows.begin(), slot_rows.end(), std::size_t{0});
-  Matrix edge(n * K, 0);
+  const Matrix edges;  // no edge features: an empty table and index
   std::vector<float> dt(n * K, 1.0f);
   std::vector<std::size_t> valid = {4, 0, 2};
   const std::vector<std::size_t> roots = {0, 1, 2};
   nn::TemporalAttention::Ctx ctx;
-  Matrix out =
-      attn.forward(node, roots, neigh, slot_rows, edge, dt, valid, &ctx);
+  Matrix out = attn.forward(node, roots, neigh, slot_rows, edges, {}, dt,
+                            valid, &ctx);
   EXPECT_EQ(out.rows(), n);
   EXPECT_EQ(out.cols(), dims.out_dim);
   // The isolated root (valid = 0) still produces an embedding (from its
@@ -137,12 +137,12 @@ TEST(Attention, AttendsToRelevantNeighbor) {
   neigh.copy_row_from(0, node.row(0));  // neighbor 0 similar to root
   for (std::size_t c = 0; c < 3; ++c) neigh(1, c) = -node(0, c);
   const std::vector<std::size_t> slot_rows = {0, 1};
-  Matrix edge(2, 0);
+  const Matrix edges;
   std::vector<float> dt = {0.0f, 0.0f};
   std::vector<std::size_t> valid = {2};
   const std::vector<std::size_t> roots = {0};
   nn::TemporalAttention::Ctx ctx;
-  attn.forward(node, roots, neigh, slot_rows, edge, dt, valid, &ctx);
+  attn.forward(node, roots, neigh, slot_rows, edges, {}, dt, valid, &ctx);
   const Matrix& alpha = ctx.alpha[0];
   EXPECT_NEAR(alpha(0, 0) + alpha(0, 1), 1.0f, 1e-5f);
   EXPECT_NE(alpha(0, 0), alpha(0, 1));
@@ -156,7 +156,7 @@ TEST(Attention, AttendsToRelevantNeighbor) {
 // attention and its backward on them, root by root, in double. The
 // layer forms none of those rows and projects each root-table row once
 // (attention.hpp), so sums reassociate: every tensor must match within
-// kAttnRelTol in relative L2 (the largest seen is 1.2e-6).
+// kAttnRelTol in relative L2 (the largest seen is 7.6e-7).
 // The one exception is b_k's gradient, 0 in exact arithmetic
 // (Σ_k ∂L/∂score_k = 0 per root and head): its rounding residue is held
 // to kAttnRelTol times the norm of W_k's gradient instead.
@@ -199,7 +199,9 @@ AttnRef per_slot_reference(const nn::AttentionDims& d,
                            const std::vector<std::size_t>& root_index,
                            const Matrix& table,
                            const std::vector<std::size_t>& index,
-                           const Matrix& edge, const std::vector<float>& dt,
+                           const Matrix& edges,
+                           const std::vector<std::size_t>& edge_index,
+                           const std::vector<float>& dt,
                            const std::vector<std::size_t>& valid,
                            const Matrix& dout) {
   const std::size_t n = root_index.size(), K = d.max_neighbors;
@@ -243,7 +245,8 @@ AttnRef per_slot_reference(const nn::AttentionDims& d,
     for (std::size_t k = 0; k < m; ++k) {
       const std::size_t s = r * K + k;
       for (std::size_t c = 0; c < dn; ++c) x[k][c] = table(index[s], c);
-      for (std::size_t c = 0; c < de; ++c) x[k][dn + c] = edge(s, c);
+      for (std::size_t c = 0; c < de; ++c)
+        x[k][dn + c] = edges(edge_index[s], c);
       for (std::size_t c = 0; c < dp; ++c) {
         phase[k * dp + c] = double{dt[s]} * om(0, c) + ph(0, c);
         x[k][dn + de + c] = std::cos(phase[k * dp + c]);
@@ -394,7 +397,10 @@ TEST_P(FactoredAttentionTest, MatchesPerSlotReference) {
   Rng rng(p.n + 31 * p.K + 17 * p.edge_dim + p.heads);
   Matrix roots = random_matrix(Ur, dims.node_dim, rng);
   Matrix table = random_matrix(U, dims.node_dim, rng);
-  Matrix edge = random_matrix(n * K, p.edge_dim, rng);
+  // The edge table has fewer rows than slots, so slots share rows, as
+  // they share a graph's events; with no edge features it is empty.
+  const std::size_t E = p.edge_dim > 0 ? n * K / 2 + 1 : 0;
+  Matrix edges = random_matrix(E, p.edge_dim, rng);
   std::vector<float> dt(n * K);
   for (float& d : dt) d = static_cast<float>(rng.uniform(0.0, 50.0));
   std::vector<std::size_t> valid(n);
@@ -402,16 +408,20 @@ TEST_P(FactoredAttentionTest, MatchesPerSlotReference) {
     v = p.fill == AttnShape::kNone   ? 0
         : p.fill == AttnShape::kFull ? K
                                      : rng.uniform_int(K + 1);
-  // Slots past valid are never read: an out-of-range index and NaN edge
-  // features there would surface in any output.
-  std::vector<std::size_t> index(n * K);
+  // Slots past valid are never read: their neighbor and edge index is
+  // a row so far out of range that its address is not canonical, so a
+  // read of it faults, even where its score would be masked anyway.
+  constexpr std::size_t kUnread = std::size_t{1} << 50;
+  std::vector<std::size_t> index(n * K), edge_index;
   for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t k = 0; k < K; ++k) {
-      index[r * K + k] = k < valid[r] ? rng.uniform_int(U) : U + 1000;
-      if (k >= valid[r])
-        for (std::size_t c = 0; c < p.edge_dim; ++c)
-          edge(r * K + k, c) = std::numeric_limits<float>::quiet_NaN();
-    }
+    for (std::size_t k = 0; k < K; ++k)
+      index[r * K + k] = k < valid[r] ? rng.uniform_int(U) : kUnread;
+  if (E > 0) {
+    edge_index.resize(n * K);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t k = 0; k < K; ++k)
+        edge_index[r * K + k] = k < valid[r] ? rng.uniform_int(E) : kUnread;
+  }
   Matrix dout = random_matrix(n, dims.out_dim, rng);
   // Each root's row, in first-seen order as TGNModel builds them: the
   // first Ur roots each take a new row, the rest draw from all of them.
@@ -423,18 +433,18 @@ TEST_P(FactoredAttentionTest, MatchesPerSlotReference) {
   nn::TemporalAttention::Ctx ctx, pooled_ctx;
   ThreadPool pool(2);
   const Matrix serial =
-      attn.forward(roots, root_index, table, index, edge, dt, valid, &ctx,
-                   nn::Pass{.train = false});
+      attn.forward(roots, root_index, table, index, edges, edge_index, dt,
+                   valid, &ctx, nn::Pass{.train = false});
   const Matrix& pooled =
-      attn.forward(roots, root_index, table, index, edge, dt, valid,
-                   &pooled_ctx, nn::Pass{.train = false, .pool = &pool});
+      attn.forward(roots, root_index, table, index, edges, edge_index, dt,
+                   valid, &pooled_ctx, nn::Pass{.train = false, .pool = &pool});
   ASSERT_TRUE(serial.same_shape(pooled));
   EXPECT_EQ(std::memcmp(serial.data(), pooled.data(),
                         serial.size() * sizeof(float)),
             0);
 
-  const Matrix& out =
-      attn.forward(roots, root_index, table, index, edge, dt, valid, &ctx);
+  const Matrix& out = attn.forward(roots, root_index, table, index, edges,
+                                   edge_index, dt, valid, &ctx);
   EXPECT_EQ(std::memcmp(out.data(), serial.data(), out.size() * sizeof(float)),
             0)
       << "training and inference passes differ";
@@ -443,8 +453,9 @@ TEST_P(FactoredAttentionTest, MatchesPerSlotReference) {
   attn.backward_into(ctx, dout, grads);
   const auto params = attn.parameters();
   ASSERT_EQ(params.size(), 10u);
-  const AttnRef ref = per_slot_reference(dims, params, roots, root_index,
-                                         table, index, edge, dt, valid, dout);
+  const AttnRef ref =
+      per_slot_reference(dims, params, roots, root_index, table, index, edges,
+                         edge_index, dt, valid, dout);
 
   auto expect_close = [](const Matrix& got, const DMat& want,
                          const std::string& what) {
@@ -498,7 +509,24 @@ INSTANTIATE_TEST_SUITE_P(
         // The train-proc-ckpt step's widths (attn/node 100, Φ 16, no
         // edge features, 245 table rows), and train-tcp's edge width.
         AttnShape{300, 10, 245, 100, 0, 16, 100, 2, AttnShape::kRandom},
-        AttnShape{150, 10, 245, 100, 16, 16, 100, 2, AttnShape::kRandom}));
+        AttnShape{150, 10, 245, 100, 16, 16, 100, 2, AttnShape::kRandom},
+        // Every lane path of the slot kernels: head, edge and Φ widths
+        // with 8-lane, 4-lane and scalar remainders (13 = 8 + 4 + 1,
+        // 7 = 4 + 3, 5 = 4 + 1), and each width past two 8-lane blocks
+        // with all three (29 = 16 + 8 + 4 + 1, 15, 13).
+        AttnShape{60, 6, 30, 12, 7, 5, 26, 2, AttnShape::kRandom},
+        AttnShape{60, 6, 30, 12, 15, 13, 58, 2, AttnShape::kRandom},
+        AttnShape{40, 5, 20, 12, 0, 5, 39, 3, AttnShape::kFull}));
+
+// The workloads' own shapes: train-thread's training step (attention
+// and node width 8 in 2 heads of 4, edge 16, Φ 4, K = 10: 3,600 roots
+// over 717 rows, 1,195 table rows) and serve-stream's request (width 32
+// in 2 heads, edge 16, Φ 16, K = 8: 64 events' 128 roots).
+INSTANTIATE_TEST_SUITE_P(
+    WorkloadShapes, FactoredAttentionTest,
+    ::testing::Values(
+        AttnShape{3600, 10, 1195, 8, 16, 4, 8, 2, AttnShape::kRandom, 717},
+        AttnShape{128, 8, 400, 32, 16, 16, 32, 2, AttnShape::kRandom, 110}));
 
 // The root side: roots repeating rows of a root table (Shapes gives
 // every root its own row). The Q product is root_rows·attn_dim·node_dim

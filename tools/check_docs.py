@@ -102,6 +102,32 @@ def check_newest_hosts() -> None:
         print(f"check_docs: {name}: newest of {len(data)} "
               f"entr{'y' if len(data) == 1 else 'ies'} records its host")
 
+def check_bench_kernels() -> None:
+    """BENCH_kernels.json's newest entry comes from bench/run_kernels.sh,
+    which runs every benchmark `repetitions` (>= 2) times and records,
+    per benchmark, the median real time and its coefficient of variation
+    (docs/BENCHMARKS.md). CI appends a smoke entry and runs this, so the
+    script's parser cannot drift from the convention unnoticed."""
+    with open(os.path.join(ROOT, "BENCH_kernels.json")) as f:
+        entry = json.load(f)[-1]
+    reps = entry.get("repetitions")
+    if not (isinstance(reps, int) and reps >= 2):
+        fail("BENCH_kernels.json newest entry must record 'repetitions' "
+             ">= 2 (repetition medians)")
+    rows = entry.get("benchmarks")
+    if not isinstance(rows, dict) or not rows:
+        fail("BENCH_kernels.json newest entry has no benchmarks")
+    for name, row in rows.items():
+        t, cv = row.get("real_time_ns"), row.get("real_time_cv")
+        if not (isinstance(t, (int, float)) and t > 0):
+            fail(f"BENCH_kernels.json newest entry {name}: real_time_ns "
+                 "must be a positive number")
+        if not (isinstance(cv, (int, float)) and cv >= 0):
+            fail(f"BENCH_kernels.json newest entry {name}: real_time_cv "
+                 "must be a non-negative number")
+    print(f"check_docs: BENCH_kernels.json: newest entry holds {len(rows)} "
+          f"repetition medians ({reps} repetitions)")
+
 def check_bench_fabric() -> None:
     """BENCH_fabric.json carries the measured-vs-model contract: every
     entry must cover ranks {2,4,8} for both fabric ops, each config
@@ -310,6 +336,7 @@ def check_test_citations() -> int:
 
 def main() -> None:
     check_bench_json()
+    check_bench_kernels()
     check_bench_fabric()
     check_newest_hosts()
     check_bench_recovery()
