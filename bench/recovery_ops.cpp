@@ -6,15 +6,16 @@
 // paper's memory dimensions (mem_dim 100, mail raw dim 186):
 //
 //   snapshot_save      One full coordinated snapshot set written to
-//                      disk: core shard (flat weights), a memory shard
-//                      (every node's memory/mail/timestamps/flags), and
-//                      one rank shard per trainer (Adam moments + loss
-//                      subtotals), each an atomic tmp+fsync+rename.
+//                      disk: core shard (flat weights + Adam's moments,
+//                      stored once), a memory shard (every node's
+//                      memory/mail/timestamps/flags), and one rank shard
+//                      per trainer (loss subtotals), each an atomic
+//                      tmp+fsync+rename.
 //   snapshot_load      Discovery + full restore: find_latest_snapshot
 //                      (which checksum-validates every shard of every
 //                      candidate set against its commit marker) followed
-//                      by reading the commit, core, memory, and all rank
-//                      shards back.
+//                      by reading the commit, core (weights + moments),
+//                      memory, and all rank shards back.
 //   restart            Supervisor restart latency on a live training
 //                      run: an injected kill, teardown, snapshot
 //                      discovery, and the resumed trainer reaching its
@@ -71,13 +72,13 @@ struct SnapshotGeometry {
   std::size_t mem_dim = 100;   // paper memory dimension
   std::size_t mail_dim = 186;  // raw mail row at the paper's edge dims
 
+  // Weights and both moments once, in the core; rank shards hold only
+  // a few scalars each.
   double set_bytes() const {
-    const double core = static_cast<double>(params) * 4.0;
+    const double core = 3.0 * static_cast<double>(params) * 4.0;
     const double mem = static_cast<double>(nodes) *
                        (static_cast<double>(mem_dim + mail_dim + 2) * 4.0 + 1.0);
-    const double ranks =
-        static_cast<double>(world) * 2.0 * static_cast<double>(params) * 4.0;
-    return core + mem + ranks;
+    return core + mem;
   }
 };
 
@@ -88,15 +89,14 @@ void fill_snapshot_set(const std::string& dir, const SnapshotGeometry& geo,
                            .iteration = iter,
                            .world = geo.world,
                            .mem_copies = 1};
-  write_core_shard(stem,
-                   CoreShard{commit, std::vector<float>(geo.params, 0.125f)});
+  write_core_shard(stem, CoreShard{commit,
+                                   std::vector<float>(geo.params, 0.125f), iter,
+                                   std::vector<float>(geo.params, 0.25f),
+                                   std::vector<float>(geo.params, 0.5f)});
   write_mem_shard(stem, make_mem_shard(state, 0xbe7cULL, iter, 0));
   RankShard rs;
   rs.fingerprint = 0xbe7cULL;
   rs.iteration = iter;
-  rs.adam_steps = iter;
-  rs.adam_m.assign(geo.params, 0.25f);
-  rs.adam_v.assign(geo.params, 0.5f);
   for (std::size_t r = 0; r < geo.world; ++r) {
     rs.rank = r;
     write_rank_shard(stem, rs);
@@ -251,10 +251,9 @@ int main(int argc, char** argv) {
       const CommitShard commit = read_commit_shard(snap->stem);
       const CoreShard core = read_core_shard(snap->stem, commit);
       const MemShard mem = read_mem_shard(snap->stem, commit, 0);
-      std::size_t rank_bytes = 0;
       for (std::size_t r = 0; r < geo.world; ++r)
-        rank_bytes += read_rank_shard(snap->stem, commit, r).adam_m.size();
-      if (core.weights.empty() || mem.rows.mem.empty() || rank_bytes == 0)
+        (void)read_rank_shard(snap->stem, commit, r);
+      if (core.weights.empty() || core.adam_m.empty() || mem.rows.mem.empty())
         return 1;
     }
     const double us = timer.seconds() * 1e6 / static_cast<double>(iters);

@@ -4,20 +4,21 @@
 // M-TGNN inference needs more than the weights — the node memory and
 // mailbox ARE the model's state for a given point in the event stream,
 // so a deployable snapshot carries both (the core and mem shards).
-// Recovery needs more still: optimizer moments, loss subtotals, and any
-// in-flight memory slice, per rank, so a restarted run replays the
-// exact update stream.
+// Recovery needs more still: the optimizer moments, and per rank the
+// loss subtotals and any in-flight memory slice, so a restarted run
+// replays the exact update stream.
 //
 // Every checkpoint file is one self-verifying container:
 //
-//   u32 magic "DTGL" | u32 version (3) | u32 kind |
+//   u32 magic "DTGL" | u32 version (4) | u32 kind |
 //   u64 payload_len  | u32 CRC32C checksum | payload
 //
 // with the payload built/parsed by the wire codecs and checksummed by
 // dist::wire_checksum (wire.hpp), so the corruption story is the same as
 // the fabric control plane's: a torn write is kTruncated, a flipped bit
-// is kBadChecksum, never UB or a silent bad load. Version 2 files, which
-// carried an FNV-1a checksum, are rejected as kBadVersion. Integers are
+// is kBadChecksum, never UB or a silent bad load. Older containers are
+// rejected as kBadVersion: version 2 carried an FNV-1a checksum, and
+// version 3 stored Adam's moments in every rank shard. Integers are
 // little-endian (byte-by-byte), floats are bit-cast — identical encoding
 // on any host.
 //
@@ -29,9 +30,10 @@
 // A full snapshot at iteration T is a shard SET under one stem
 // `<dir>/ckpt_<T>`:
 //
-//   <stem>.core     rank 0: fingerprint, iteration, geometry, weights
+//   <stem>.core     rank 0: fingerprint, iteration, geometry, weights,
+//                   Adam (t, m, v) — replicated state, stored once
 //   <stem>.mem<m>   group host m: one MemoryState copy, full rows
-//   <stem>.rank<r>  every rank: loss subtotals, Adam (t, m, v), and the
+//   <stem>.rank<r>  every rank: loss subtotals, events, and the
 //                   in-flight MemorySlice when r was mid version-chain
 //   <stem>.commit   rank 0, written LAST — the atomic commit point; a
 //                   snapshot without its commit marker does not exist
@@ -104,9 +106,14 @@ struct CommitShard {
 };
 
 // Replicated training state, written once per snapshot by rank 0: the
-// set's identity plus the flat weights (Module::flat_values order).
+// set's identity, the flat weights (Module::flat_values order) and
+// Adam's state. Every replica steps the whole model from the same mean
+// gradients, so one optimizer's (t, m, v) is every replica's; the
+// moments are flat in the same parameter order, one per weight.
 struct CoreShard : CommitShard {
   std::vector<float> weights;
+  std::uint64_t adam_steps = 0;  // Adam t_
+  std::vector<float> adam_m, adam_v;
 };
 
 // One memory copy's full state, written by that group's host rank after
@@ -118,21 +125,18 @@ struct MemShard {
   MemorySlice rows;        // every node, in node order
 };
 
-// Per-rank private state. Each rank snapshots its own Adam moments;
-// every replica steps the whole model from the same mean gradients, so
-// the moments agree across ranks, but the shard format keeps one copy
-// per rank. `slice` is set for a rank caught mid version-chain:
-// it had read memory for a super-batch and not yet finished training
-// all j versions, so the read slice must survive the restart.
+// Per-rank private state: what differs between ranks, the training
+// loss and event subtotals (no optimizer state; the core shard holds
+// that once). `slice` is set for a rank caught mid version-chain: it
+// had read memory for a super-batch and not yet finished training all
+// j versions, so the read slice must survive the restart.
 struct RankShard {
   std::uint64_t fingerprint = 0;
   std::uint64_t iteration = 0;
   std::uint64_t rank = 0;
   double loss_sum = 0.0;
   std::uint64_t loss_count = 0;
-  std::uint64_t events = 0;       // raw events processed so far
-  std::uint64_t adam_steps = 0;   // Adam t_
-  std::vector<float> adam_m, adam_v;
+  std::uint64_t events = 0;  // raw events processed so far
   std::optional<MemorySlice> slice;
 };
 
@@ -151,10 +155,11 @@ void write_commit_shard(const std::string& stem, const CommitShard& s);
 
 // Every reader verifies its container (kind, version, checksum) and
 // decodes typed: a memory-rows block whose arrays disagree with its
-// declared node count or widths is kShapeMismatch. The shard readers
-// then check the shard against `commit`, the set's marker: a shard
-// naming another fingerprint or iteration (a stale or foreign file),
-// or a core shard naming another world or copy count, is
+// declared node count or widths, or a core shard whose Adam moment
+// arrays do not hold one float per weight, is kShapeMismatch. The shard
+// readers then check the shard against `commit`, the set's marker: a
+// shard naming another fingerprint or iteration (a stale or foreign
+// file), or a core shard naming another world or copy count, is
 // kFingerprintMismatch, and one stored under another index is
 // kShapeMismatch.
 CommitShard read_commit_shard(const std::string& stem);
@@ -178,12 +183,6 @@ void check_rows_shape(const std::string& path, const MemorySlice& rows,
                       std::uint64_t nodes, std::uint64_t mem_dim,
                       std::uint64_t mail_dim);
 
-// kShapeMismatch (naming `path`, expected = `params`) unless both of the
-// rank shard's Adam moment arrays hold `params` floats: the check of a
-// rank shard against its set's core shard or the live model.
-void check_moments_shape(const std::string& path, const RankShard& s,
-                         std::uint64_t params);
-
 // Captures one memory copy's full contents (node order) into a shard /
 // applies a shard back onto a live state (full-row restore, flags
 // included). apply throws kShapeMismatch when the shard's geometry
@@ -200,10 +199,9 @@ struct SnapshotRef {
 };
 
 // Full validation of one committed snapshot: the commit marker names
-// this run (fingerprint, world, copy count), the core shard, every mem
-// shard and every rank shard read cleanly against it, and every rank
-// shard's Adam moments match the core shard's weight count. False
-// (never throws) on any defect.
+// this run (fingerprint, world, copy count), and the core shard, every
+// mem shard and every rank shard read cleanly against it. False (never
+// throws) on any defect.
 bool validate_snapshot(const std::string& stem, std::uint64_t fingerprint,
                        std::uint64_t world, std::uint64_t mem_copies);
 

@@ -88,12 +88,6 @@ ThreadedTrainer::ThreadedTrainer(const TrainingConfig& cfg,
   for (std::size_t m = 0; m < par.k; ++m)
     states_.emplace_back(graph.num_nodes(), cfg_.model.mem_dim, mail_dim);
 
-  comm_ = std::make_unique<dist::ThreadComm>(
-      n, dist::Comm::Options{
-             .chunk_elems = cfg_.comm_chunk_elems,
-             .wait = WaitPolicy{.spin_polls = cfg_.fabric.spin_polls}});
-  comm_->reserve(models_[0]->num_parameters());
-
   rank_loss_.assign(n, 0.0);
   rank_loss_count_.assign(n, 0);
   rank_events_.assign(n, 0);
@@ -115,20 +109,21 @@ void ThreadedTrainer::restore_from_snapshot() {
     throw CheckpointError(CheckpointErrc::kShapeMismatch, stem + ".commit",
                           "snapshot iteration is past the end of the run",
                           schedule_.total_iterations, commit.iteration);
+  // The core's moments hold one float per weight (read_core_shard).
   const CoreShard core = read_core_shard(stem, commit);
   const std::size_t params = models_[0]->num_parameters();
   if (core.weights.size() != params)
     throw CheckpointError(CheckpointErrc::kShapeMismatch, stem + ".core",
                           "snapshot weight count disagrees with the model",
                           params, core.weights.size());
-  // Every rank shard is checked here, so a defective set fails before
-  // any state is restored; each rank rereads its own in run_rank.
+  // Every rank shard is read here, so a defective set fails before any
+  // state is restored; each rank rereads its own in run_rank.
   for (std::size_t r = 0; r < par.total_trainers(); ++r)
-    check_moments_shape(stem + ".rank" + std::to_string(r),
-                        read_rank_shard(stem, commit, r), params);
-  for (auto& model : models_) {
-    const std::span<float> values = model->flat_values();
+    (void)read_rank_shard(stem, commit, r);
+  for (std::size_t r = 0; r < models_.size(); ++r) {
+    const std::span<float> values = models_[r]->flat_values();
     std::copy(core.weights.begin(), core.weights.end(), values.begin());
+    optimizers_[r]->restore_state(core.adam_steps, core.adam_m, core.adam_v);
   }
   for (std::size_t m = 0; m < par.k; ++m)
     apply_mem_shard(read_mem_shard(stem, commit, m), states_[m]);
@@ -227,7 +222,6 @@ void ThreadedTrainer::run_rank(std::size_t rank, DaemonChannel& daemon,
     local_loss = shard.loss_sum;
     local_count = shard.loss_count;
     local_events = shard.events;
-    opt.restore_state(shard.adam_steps, shard.adam_m, shard.adam_v);
     if (shard.slice) {
       DT_CHECK(cursor < ts.items.size());
       const WorkItem& item = ts.items[cursor];
@@ -369,7 +363,7 @@ void ThreadedTrainer::run_rank(std::size_t rank, DaemonChannel& daemon,
       const bool mid_chain = cursor < ts.items.size() &&
                              !ts.items[cursor].memory_ops &&
                              (batch.has_value() || resume_active);
-      write_snapshot(rank, t + 1, daemon, comm, opt, local_loss, local_count,
+      write_snapshot(rank, t + 1, daemon, comm, local_loss, local_count,
                      local_events, mid_chain, slice);
     }
   }
@@ -393,8 +387,7 @@ void ThreadedTrainer::run_rank(std::size_t rank, DaemonChannel& daemon,
 
 void ThreadedTrainer::write_snapshot(std::size_t rank, std::size_t done,
                                      DaemonChannel& daemon, dist::Comm& comm,
-                                     nn::Adam& opt, double loss_sum,
-                                     std::size_t loss_count,
+                                     double loss_sum, std::size_t loss_count,
                                      std::size_t events, bool mid_chain,
                                      const MemorySlice& slice) {
   const TrainerSchedule& ts = schedule_.trainers[rank];
@@ -421,9 +414,6 @@ void ThreadedTrainer::write_snapshot(std::size_t rank, std::size_t done,
   rs.loss_sum = loss_sum;
   rs.loss_count = loss_count;
   rs.events = events;
-  rs.adam_steps = opt.steps_taken();
-  rs.adam_m.assign(opt.moment1().begin(), opt.moment1().end());
-  rs.adam_v.assign(opt.moment2().begin(), opt.moment2().end());
   if (mid_chain) rs.slice = slice;
   write_rank_shard(stem, rs);
 
@@ -440,8 +430,15 @@ void ThreadedTrainer::write_snapshot(std::size_t rank, std::size_t done,
     dist::tsan_release(&states_[ts.mem_copy]);
   }
   if (rank == 0) {
-    const std::span<const float> values = models_[rank]->flat_values();
-    write_core_shard(stem, CoreShard{commit, {values.begin(), values.end()}});
+    // Every replica's weights and optimizer state are rank 0's.
+    const std::span<const float> w = models_[0]->flat_values();
+    const nn::Adam& opt = *optimizers_[0];
+    const std::span<const float> m = opt.moment1(), v = opt.moment2();
+    write_core_shard(stem, CoreShard{commit,
+                                     {w.begin(), w.end()},
+                                     opt.steps_taken(),
+                                     {m.begin(), m.end()},
+                                     {v.begin(), v.end()}});
   }
 
   // Every shard durable ⇒ commit. Only rank 0 lingers to write the
@@ -457,6 +454,12 @@ void ThreadedTrainer::write_snapshot(std::size_t rank, std::size_t done,
 ThreadedTrainResult ThreadedTrainer::train() {
   const auto& par = cfg_.parallel;
   const std::size_t n = par.total_trainers();
+
+  comm_ = std::make_unique<dist::ThreadComm>(
+      n, dist::Comm::Options{
+             .chunk_elems = cfg_.comm_chunk_elems,
+             .wait = WaitPolicy{.spin_polls = cfg_.fabric.spin_polls}});
+  comm_->reserve(models_[0]->num_parameters());
 
   daemons_.clear();
   for (std::size_t m = 0; m < par.k; ++m) {

@@ -130,16 +130,19 @@ class ThreadedTrainer {
   std::pair<std::size_t, std::size_t> chunk_events(std::size_t global_batch,
                                                    std::size_t chunk) const;
   // Replicated-state restore from cfg.recovery.resume_from: the commit
-  // marker into resume_, weights into every replica, every memory copy.
-  // Per-rank state (Adam moments, loss subtotals, in-flight slice) is
-  // restored inside run_rank from that rank's own shard.
+  // marker into resume_, the core shard's weights and Adam (t, m, v) into
+  // every replica and its optimizer, every memory copy. Every rank shard
+  // is read against the commit first, so a defective set fails here,
+  // before anything is restored. Per-rank state (loss subtotals, events,
+  // in-flight slice) is restored inside run_rank from that rank's shard.
   void restore_from_snapshot();
   // The coordinated snapshot at an iteration boundary (`done` iterations
   // complete): every rank writes its rank shard; group hosts quiesce
   // their daemon (await_rounds) and capture the memory copy; rank 0
-  // writes weights — then one barrier, and rank 0 commits + prunes.
+  // writes the core shard (weights and Adam's state, one copy for every
+  // replica) — then one barrier, and rank 0 commits + prunes.
   void write_snapshot(std::size_t rank, std::size_t done,
-                      DaemonChannel& daemon, dist::Comm& comm, nn::Adam& opt,
+                      DaemonChannel& daemon, dist::Comm& comm,
                       double loss_sum, std::size_t loss_count,
                       std::size_t events, bool mid_chain,
                       const MemorySlice& slice);
@@ -155,6 +158,8 @@ class ThreadedTrainer {
   std::unique_ptr<NegativeSampler> negatives_;
   std::unique_ptr<MiniBatchBuilder> builder_;
   std::vector<MemoryState> states_;
+  // The thread fabric's transports, built by train() alone: a forked
+  // rank brings its own to run_rank.
   std::vector<std::unique_ptr<MemoryDaemon>> daemons_;
   std::unique_ptr<dist::Comm> comm_;
 

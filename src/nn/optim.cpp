@@ -69,31 +69,4 @@ void Adam::zero_grad() {
   for (Parameter* p : params_) p->zero_grad();
 }
 
-Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum)
-    : params_(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (momentum_ > 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const Parameter* p : params_)
-      velocity_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    if (momentum_ > 0.0f) {
-      Matrix& vel = velocity_[i];
-      vel *= momentum_;
-      vel.add_scaled(p.grad, 1.0f);
-      p.value.add_scaled(vel, -lr_);
-    } else {
-      p.value.add_scaled(p.grad, -lr_);
-    }
-  }
-}
-
-void Sgd::zero_grad() {
-  for (Parameter* p : params_) p->zero_grad();
-}
-
 }  // namespace disttgl::nn

@@ -22,7 +22,7 @@ struct AdamOptions {
 // Adam with optional L2 weight decay (added to the gradient before the
 // moments, not decoupled). Moment state is stored as two flat buffers
 // laid out in parameter order (stable for a fixed model), the layout
-// the rank shards snapshot.
+// the core shard snapshots.
 class Adam {
  public:
   using Options = AdamOptions;
@@ -50,22 +50,6 @@ class Adam {
   std::vector<float> m_, v_;           // flat moments, parameter order
   std::vector<std::size_t> offsets_;   // flat offset per parameter
   std::size_t t_ = 0;
-};
-
-// Plain SGD, used by the static-memory pre-trainer and as an ablation.
-class Sgd {
- public:
-  Sgd(std::vector<Parameter*> params, float lr, float momentum = 0.0f);
-
-  void step();
-  void zero_grad();
-  void set_lr(float lr) { lr_ = lr; }
-
- private:
-  std::vector<Parameter*> params_;
-  float lr_;
-  float momentum_;
-  std::vector<Matrix> velocity_;
 };
 
 }  // namespace disttgl::nn

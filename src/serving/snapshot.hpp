@@ -11,9 +11,11 @@
 //
 // Once constructed a snapshot is never mutated; the ModelServer
 // publishes it through an atomic version seam and many reader threads
-// score against it concurrently without locks. Rank shards (optimizer
-// moments, in-flight slices) are training-private and deliberately not
-// read — serving only needs the post-round model state.
+// score against it concurrently without locks. Rank shards (loss
+// subtotals, in-flight slices) are training-private and deliberately
+// not read — serving only needs the post-round model state. The core
+// shard also carries Adam's moments, which the load reads (and checks)
+// with the weights and then drops.
 #pragma once
 
 #include <cstdint>

@@ -838,20 +838,6 @@ TEST(Adam, ConvergesOnQuadratic) {
     EXPECT_NEAR(w.value.data()[i], target.data()[i], 1e-2f);
 }
 
-TEST(Sgd, MomentumAccelerates) {
-  nn::Parameter a("a", 1, 1), b("b", 1, 1);
-  a.value(0, 0) = b.value(0, 0) = 10.0f;
-  nn::Sgd plain({&a}, 0.01f);
-  nn::Sgd momentum({&b}, 0.01f, 0.9f);
-  for (int step = 0; step < 50; ++step) {
-    a.grad(0, 0) = 2.0f * a.value(0, 0);
-    b.grad(0, 0) = 2.0f * b.value(0, 0);
-    plain.step();
-    momentum.step();
-  }
-  EXPECT_LT(std::abs(b.value(0, 0)), std::abs(a.value(0, 0)));
-}
-
 TEST(Optim, ClipGradNorm) {
   nn::Parameter w("w", 1, 3);
   w.grad = Matrix(1, 3, {3.0f, 4.0f, 0.0f});  // norm 5

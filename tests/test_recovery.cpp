@@ -1,6 +1,7 @@
-// Elastic fault tolerance, bottom to top: the version-3 checkpoint
+// Elastic fault tolerance, bottom to top: the version-4 checkpoint
 // container (atomic shard writes, checksummed reads, typed rejection of
-// every corruption class), shards read against their commit marker,
+// every corruption class, no descriptor leaked by a failed write),
+// shards read against their commit marker,
 // snapshot-set validation with fallback to the previous set, retention,
 // hand-set resumes from defective sets, and the supervisor restart loop
 // driven by fabric.fault chaos knobs — injected kills on both fabrics, a
@@ -10,10 +11,12 @@
 // supervised runs and again across the full {i,j,k} grid in
 // tests/test_equivalence.cpp.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -31,6 +34,7 @@
 #include "distributed/wire.hpp"
 #include "equivalence_fixture.hpp"
 #include "memory/memory_state.hpp"
+#include "serving/snapshot.hpp"
 
 namespace disttgl {
 namespace {
@@ -79,6 +83,9 @@ CoreShard sample_core(std::uint64_t fp = 0xfeedULL) {
   core.world = 2;
   core.mem_copies = 1;
   core.weights = {0.5f, -1.25f, 3.0f, 0.0f, 42.0f, -0.125f, 7.5f, 2.0f};
+  core.adam_steps = 5;  // one Adam moment of each kind per weight
+  core.adam_m = {0.1f, -0.2f, 0.3f, 0.0f, 1.5f, -0.25f, 0.75f, 2.5f};
+  core.adam_v = {0.01f, 0.04f, 0.09f, 0.0f, 2.25f, 0.0625f, 0.5625f, 6.25f};
   return core;
 }
 
@@ -94,6 +101,71 @@ TEST(CheckpointShards, CoreRoundTrip) {
   EXPECT_EQ(back.world, core.world);
   EXPECT_EQ(back.mem_copies, core.mem_copies);
   EXPECT_EQ(back.weights, core.weights);
+  EXPECT_EQ(back.adam_steps, core.adam_steps);
+  EXPECT_EQ(back.adam_m, core.adam_m);
+  EXPECT_EQ(back.adam_v, core.adam_v);
+}
+
+// The core decoder holds every reader of a core to one Adam moment of
+// each kind per weight: a checksum-valid core whose array is one short
+// is kShapeMismatch, carrying the weight count and the count it holds.
+TEST(CheckpointShards, CoreMomentCountOtherThanWeightCountIsShapeMismatch) {
+  const std::string dir = fresh_dir("core_moments");
+  for (const bool first : {true, false}) {
+    CoreShard core = sample_core();
+    (first ? core.adam_m : core.adam_v).pop_back();
+    write_core_shard(dir + "/ckpt_5", core);
+    try {
+      (void)read_core_shard(dir + "/ckpt_5", core);
+      FAIL() << "short moment array not detected";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.code(), CheckpointErrc::kShapeMismatch);
+      EXPECT_EQ(e.path(), dir + "/ckpt_5.core");
+      EXPECT_EQ(e.expected(), core.weights.size());
+      EXPECT_EQ(e.got(), core.weights.size() - 1);
+    }
+  }
+}
+
+// A write that fails part-way (here, past the file-size limit) throws
+// kIoError and closes the temporary file it opened: under a full disk
+// the supervisor's restart loop retries in the same process, and must
+// not leak one descriptor per failed snapshot.
+TEST(CheckpointShards, FailedWriteClosesItsFile) {
+  const auto open_fds = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         fs::directory_iterator("/proc/self/fd"))
+      ++n;
+    return n;
+  };
+  const std::string dir = fresh_dir("fsize");
+  CoreShard core = sample_core();
+  core.weights.assign(4096, 1.0f);  // 16 KiB of weights alone
+  core.adam_m.assign(4096, 0.0f);
+  core.adam_v.assign(4096, 0.0f);
+
+  // Lower only the soft limit, and ignore the SIGXFSZ a write past it
+  // raises, so the write fails with EFBIG instead of ending the process.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = 4096;
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &low), 0);
+  const std::size_t before = open_fds();
+  std::vector<CheckpointErrc> codes;
+  for (int attempt = 0; attempt < 3; ++attempt)
+    codes.push_back(code_of([&] { write_core_shard(dir + "/ckpt_7", core); }));
+  const std::size_t after = open_fds();
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, saved_handler);
+
+  for (const CheckpointErrc code : codes)
+    EXPECT_EQ(code, CheckpointErrc::kIoError);
+  EXPECT_EQ(after, before);
+  EXPECT_FALSE(fs::exists(dir + "/ckpt_7.core"));
+  sweep_tmp(dir);  // the failed writes' partial *.tmp files
 }
 
 TEST(CheckpointShards, MemShardRoundTripsFullState) {
@@ -154,9 +226,6 @@ TEST(CheckpointShards, RankShardRoundTripsIncludingSlice) {
   rs.loss_sum = 2.5;
   rs.loss_count = 9;
   rs.events = 123;
-  rs.adam_steps = 4;
-  rs.adam_m = {0.1f, 0.2f, 0.3f};
-  rs.adam_v = {0.4f, 0.5f, 0.6f};
   rs.slice.emplace();
   rs.slice->mem = Matrix(2, 3, {1, 2, 3, 4, 5, 6});
   rs.slice->mem_ts = {7, 8};
@@ -172,9 +241,6 @@ TEST(CheckpointShards, RankShardRoundTripsIncludingSlice) {
   EXPECT_EQ(back.loss_sum, rs.loss_sum);
   EXPECT_EQ(back.loss_count, rs.loss_count);
   EXPECT_EQ(back.events, rs.events);
-  EXPECT_EQ(back.adam_steps, rs.adam_steps);
-  EXPECT_EQ(back.adam_m, rs.adam_m);
-  EXPECT_EQ(back.adam_v, rs.adam_v);
   ASSERT_TRUE(back.slice.has_value());
   EXPECT_EQ(back.slice->size(), rs.slice->size());
   EXPECT_EQ(back.slice->mem.cols(), rs.slice->mem.cols());
@@ -255,6 +321,10 @@ TEST(CheckpointShards, HeaderSkewRejectedTyped) {
   spit(mut + ".core", bad_version);
   EXPECT_EQ(code_of([&] { (void)read_core_shard(mut, sample_core()); }),
             CheckpointErrc::kBadVersion);
+  bad_version[4] = 3;  // Adam's moments in every rank shard
+  spit(mut + ".core", bad_version);
+  EXPECT_EQ(code_of([&] { (void)read_core_shard(mut, sample_core()); }),
+            CheckpointErrc::kBadVersion);
 
   // Kind confusion: a core container presented as a mem shard.
   fs::copy_file(dir + "/ckpt_1.core", mut + ".mem0",
@@ -278,8 +348,6 @@ void write_snapshot_set(const std::string& dir, std::uint64_t fp,
     rs.fingerprint = fp;
     rs.iteration = iter;
     rs.rank = r;
-    rs.adam_m.assign(core.weights.size(), 0.0f);  // one moment per weight
-    rs.adam_v.assign(core.weights.size(), 0.0f);
     write_rank_shard(stem, rs);
   }
   CommitShard commit;
@@ -408,12 +476,9 @@ class ResumeDefects : public ::testing::Test {
     spit(path, bytes);
   }
 
-  // Payload offset of a rank shard's slice node count: seven u64/f64
-  // scalars, the two count-prefixed Adam moments, the u32 slice flag.
-  static std::size_t slice_nodes_offset(const RankShard& rs) {
-    return 7 * 8 + (8 + 4 * rs.adam_m.size()) + (8 + 4 * rs.adam_v.size()) +
-           4;
-  }
+  // Payload offset of a rank shard's slice node count: six u64/f64
+  // scalars, then the u32 slice flag — the same in every rank shard.
+  static std::size_t slice_nodes_offset(const RankShard&) { return 6 * 8 + 4; }
 
   static inline std::unique_ptr<TemporalGraph> graph_;
   static inline std::string run_dir_;
@@ -474,20 +539,22 @@ TEST_F(ResumeDefects, ResumedSliceDeclaringOneNodeFewerFailsTyped) {
             CheckpointErrc::kShapeMismatch);
 }
 
-// A checksum-sealed rank shard one Adam moment short in each array: the
-// set fails validation, so discovery falls back to the older set, and a
+// A checksum-sealed core shard one Adam moment short in each array: the
+// set fails validation, so discovery falls back to the older set, a
 // hand-set resume fails typed at construction instead of tripping the
-// optimizer's internal check when the rank restores its moments.
-TEST_F(ResumeDefects, RankShardOneMomentShortIsShapeMismatch) {
+// optimizer's internal check when the replicas restore their moments,
+// and the serving tier's loader, which reads the same core, fails typed.
+TEST_F(ResumeDefects, CoreShardOneMomentShortIsShapeMismatch) {
   const std::vector<SnapshotRef> sets = copy_sets("short_moments");
   ASSERT_EQ(sets.size(), 2u);
   const std::string& stem = sets[0].stem;
   const CommitShard commit = read_commit_shard(stem);
-  RankShard rs = read_rank_shard(stem, commit, 0);
-  rs.adam_m.pop_back();
-  rs.adam_v.pop_back();
-  write_rank_shard(stem, rs);
-  ASSERT_EQ(read_rank_shard(stem, commit, 0).adam_v.size(), rs.adam_v.size());
+  CoreShard core = read_core_shard(stem, commit);
+  core.adam_m.pop_back();
+  core.adam_v.pop_back();
+  write_core_shard(stem, core);
+  EXPECT_EQ(code_of([&] { (void)read_core_shard(stem, commit); }),
+            CheckpointErrc::kShapeMismatch);
 
   EXPECT_FALSE(validate_snapshot(stem, commit.fingerprint, commit.world,
                                  commit.mem_copies));
@@ -498,6 +565,25 @@ TEST_F(ResumeDefects, RankShardOneMomentShortIsShapeMismatch) {
   EXPECT_EQ(latest->stem, sets[1].stem);
 
   EXPECT_EQ(resume_code(stem), CheckpointErrc::kShapeMismatch);
+  EXPECT_EQ(code_of([&] { (void)serving::load_snapshot(stem); }),
+            CheckpointErrc::kShapeMismatch);
+}
+
+// The set holds Adam's state once, in the core: the optimizer rank 0
+// stepped once per completed iteration (every replica steps every
+// iteration), one moment of each kind per weight.
+TEST_F(ResumeDefects, CoreHoldsTheReplicasOptimizerState) {
+  const std::vector<SnapshotRef> sets = list_snapshots(run_dir_);
+  ASSERT_EQ(sets.size(), 2u);
+  for (const SnapshotRef& set : sets) {
+    const CommitShard commit = read_commit_shard(set.stem);
+    const CoreShard core = read_core_shard(set.stem, commit);
+    EXPECT_EQ(core.adam_steps, commit.iteration) << set.stem;
+    EXPECT_EQ(core.adam_m.size(), core.weights.size()) << set.stem;
+    EXPECT_TRUE(std::any_of(core.adam_v.begin(), core.adam_v.end(),
+                            [](float v) { return v > 0.0f; }))
+        << set.stem;
+  }
 }
 
 // ---- supervisor: restart, resume, chaos ----------------------------------
