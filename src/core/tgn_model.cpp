@@ -42,6 +42,68 @@ TGNModel::TGNModel(const ModelConfig& cfg, const TemporalGraph& graph,
   }
 }
 
+void TGNModel::update_memory(const MemorySlice& slice, EmbedCtx& ctx,
+                             const nn::Pass& pass) {
+  Workspace& ws = scratch_.ws;
+  ctx.gru_rows.clear();
+  if (cfg_.dynamic_memory) {
+    for (std::size_t u = 0; u < slice.size(); ++u) {
+      if (slice.has_mail[u]) ctx.gru_rows.push_back(u);
+    }
+  }
+  ctx.s_new = slice.mem;  // nodes without mail keep their memory
+  if (ctx.gru_rows.empty()) return;
+  Matrix& mail_rows = ws.mat(0, 0);
+  slice.mail.gather_rows_into(ctx.gru_rows, mail_rows);
+  Matrix& mem_rows = ws.mat(0, 0);
+  slice.mem.gather_rows_into(ctx.gru_rows, mem_rows);
+  std::vector<float>& dts = ws.floats(ctx.gru_rows.size());
+  for (std::size_t r = 0; r < ctx.gru_rows.size(); ++r) {
+    const std::size_t u = ctx.gru_rows[r];
+    dts[r] = slice.mail_ts[u] - slice.mem_ts[u];
+  }
+  Matrix& phi = ws.mat(0, 0);
+  mail_time_enc_.forward_into(dts, pass.train ? &ctx.mail_time_ctx : nullptr,
+                              phi, pass.pool);
+  Matrix& gru_in = ws.mat(0, 0);
+  Matrix::concat_cols_into(mail_rows, phi, gru_in, pass.pool);
+  Matrix& updated = ws.mat(0, 0);
+  updater_.forward_into(gru_in, mem_rows, ctx.gru_ctx, updated, pass);
+  ctx.s_new.scatter_rows(ctx.gru_rows, updated);
+}
+
+void TGNModel::updated_memory_into(const MemoryState& in, MemoryState& out) {
+  // Bounds the block's slice and GRU buffers; the rows' bits do not
+  // depend on it.
+  constexpr std::size_t kBlockNodes = 1024;
+  DT_CHECK_EQ(in.mem_dim(), cfg_.mem_dim);
+  DT_CHECK_EQ(in.mail_dim(), mail_raw_dim_);
+  const std::size_t N = in.num_nodes();
+  if (out.num_nodes() != N || out.mem_dim() != cfg_.mem_dim ||
+      out.mail_dim() != 0)
+    out = MemoryState(N, cfg_.mem_dim, 0);
+  Scratch& s = scratch_;
+  EmbedCtx& ctx = s.embed;
+  MemorySlice& block = s.block;
+  for (std::size_t lo = 0; lo < N; lo += kBlockNodes) {
+    const std::size_t hi = std::min(N, lo + kBlockNodes);
+    s.block_nodes.resize(hi - lo);
+    for (std::size_t v = lo; v < hi; ++v)
+      s.block_nodes[v - lo] = static_cast<NodeId>(v);
+    in.read_into(s.block_nodes, block);
+    s.ws.reset();
+    update_memory(block, ctx, nn::Pass{.train = false});
+    // The block's slice becomes the restore payload: a consumed mail's
+    // timestamp is the row's last update, and no mail stays pending.
+    for (const std::size_t u : ctx.gru_rows) block.mem_ts[u] = block.mail_ts[u];
+    block.mail.reset_shape(hi - lo, 0);
+    std::fill(block.mail_ts.begin(), block.mail_ts.end(), 0.0f);
+    std::fill(block.has_mail.begin(), block.has_mail.end(), std::uint8_t{0});
+    out.restore(s.block_nodes, ctx.s_new, block.mem_ts, block.mail,
+                block.mail_ts, block.has_mail);
+  }
+}
+
 const Matrix& TGNModel::embed(const MiniBatch& mb, const MemorySlice& slice,
                               std::size_t version, EmbedCtx& ctx,
                               const nn::Pass& pass) {
@@ -54,32 +116,7 @@ const Matrix& TGNModel::embed(const MiniBatch& mb, const MemorySlice& slice,
   DT_CHECK_EQ(mb.root_to_unique.size(), mb.roots.size());
 
   // ---- 1. UPDT: batched GRU over unique nodes holding a mail. ----
-  ctx.gru_rows.clear();
-  if (cfg_.dynamic_memory) {
-    for (std::size_t u = 0; u < U; ++u) {
-      if (slice.has_mail[u]) ctx.gru_rows.push_back(u);
-    }
-  }
-  ctx.s_new = slice.mem;  // nodes without mail keep their memory
-  if (!ctx.gru_rows.empty()) {
-    Matrix& mail_rows = ws.mat(0, 0);
-    slice.mail.gather_rows_into(ctx.gru_rows, mail_rows);
-    Matrix& mem_rows = ws.mat(0, 0);
-    slice.mem.gather_rows_into(ctx.gru_rows, mem_rows);
-    std::vector<float>& dts = ws.floats(ctx.gru_rows.size());
-    for (std::size_t r = 0; r < ctx.gru_rows.size(); ++r) {
-      const std::size_t u = ctx.gru_rows[r];
-      dts[r] = slice.mail_ts[u] - slice.mem_ts[u];
-    }
-    Matrix& phi = ws.mat(0, 0);
-    mail_time_enc_.forward_into(dts, pass.train ? &ctx.mail_time_ctx : nullptr,
-                                phi, pool);
-    Matrix& gru_in = ws.mat(0, 0);
-    Matrix::concat_cols_into(mail_rows, phi, gru_in, pool);
-    Matrix& updated = ws.mat(0, 0);
-    updater_.forward_into(gru_in, mem_rows, ctx.gru_ctx, updated, pass);
-    ctx.s_new.scatter_rows(ctx.gru_rows, updated);
-  }
+  update_memory(slice, ctx, pass);
 
   // ---- 2. Node representations {s_new || static || node features}. ----
   const std::size_t rdim = cfg_.mem_dim + cfg_.static_dim + node_feat_dim_;

@@ -98,6 +98,15 @@ class TGNModel : public nn::Module {
                   MemoryWrite* write, StepResult& out,
                   ThreadPool* pool = nullptr);
 
+  // UPDT (step 1) over a whole state: `out` becomes memory only (no
+  // mail columns, no pending mail) holding every node's post-UPDT row,
+  // the consumed mail's timestamp as its last update where a mail was
+  // applied. Runs in fixed node blocks on the calling thread. A node's
+  // row depends only on its own stored state, so infer_into over `out`
+  // finds no mail, runs no GRU, and returns the bits infer_into returns
+  // over `in`, for any batch (the serving tier builds one per snapshot).
+  void updated_memory_into(const MemoryState& in, MemoryState& out);
+
   void collect_parameters(std::vector<nn::Parameter*>& out) override;
 
  private:
@@ -127,7 +136,15 @@ class TGNModel : public nn::Module {
     std::vector<std::size_t> uniq_roots;        // distinct positive roots
     std::vector<float> mail_row;                // one staged mail payload
     std::vector<float> mail_counts;             // COMB=mean normalizers
+    // updated_memory_into's node block and its slice.
+    std::vector<NodeId> block_nodes;
+    MemorySlice block;
   };
+
+  // UPDT: ctx.s_new = slice.mem with every row holding a mail (under
+  // dynamic memory) replaced by its GRU update; ctx.gru_rows lists them.
+  void update_memory(const MemorySlice& slice, EmbedCtx& ctx,
+                     const nn::Pass& pass);
 
   // Shared forward: UPDT + representations + attention for one version.
   // Returns embeddings [n*(2+num_neg) x emb_dim] for roots

@@ -40,7 +40,9 @@ void MemoryState::gather_rows(std::span<const NodeId> nodes, MemorySlice& out,
     // One blocked row holds everything: a single contiguous read.
     const float* src = row(v);
     std::memcpy(out.mem.row_ptr(i), src, md * sizeof(float));
-    std::memcpy(out.mail.row_ptr(i), src + md, ld * sizeof(float));
+    // A memory-only table (mail width 0) leaves the slice's mail buffer
+    // empty, and memcpy must not see its null data().
+    if (ld > 0) std::memcpy(out.mail.row_ptr(i), src + md, ld * sizeof(float));
     out.mem_ts[i] = src[meta];
     out.mail_ts[i] = src[meta + 1];
     out.has_mail[i] = src[meta + 2] != 0.0f ? 1 : 0;
@@ -84,7 +86,7 @@ void MemoryState::scatter_rows(const MemoryWrite& w, std::size_t lo,
     }
     float* dst = row(v);
     std::memcpy(dst, w.mem.row_ptr(i), md * sizeof(float));
-    std::memcpy(dst + md, w.mail.row_ptr(i), ld * sizeof(float));
+    if (ld > 0) std::memcpy(dst + md, w.mail.row_ptr(i), ld * sizeof(float));
     dst[meta] = w.mem_ts[i];
     dst[meta + 1] = w.mail_ts[i];
     dst[meta + 2] = 1.0f;  // a write always delivers a mail
@@ -133,7 +135,8 @@ void MemoryState::restore(std::span<const NodeId> nodes, const Matrix& mem,
     DT_CHECK_LT(v, num_nodes_);
     float* dst = row(v);
     std::memcpy(dst, mem.row_ptr(i), mem_dim_ * sizeof(float));
-    std::memcpy(dst + mem_dim_, mail.row_ptr(i), mail_dim_ * sizeof(float));
+    if (mail_dim_ > 0)
+      std::memcpy(dst + mem_dim_, mail.row_ptr(i), mail_dim_ * sizeof(float));
     dst[meta] = mem_ts[i];
     dst[meta + 1] = mail_ts[i];
     dst[meta + 2] = flags[i] != 0 ? 1.0f : 0.0f;

@@ -3,9 +3,51 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/simd.hpp"
 #include "util/check.hpp"
 
 namespace disttgl::nn {
+namespace {
+
+// One step's coefficients, shared by every parameter's span.
+struct AdamCoeffs {
+  float lr, beta1, beta2, eps, decay, bc1, bc2;
+};
+
+// The decay test is a template argument, so the loop has no branch; with
+// sqrt free of errno (-fno-math-errno, src/nn/CMakeLists.txt) GCC
+// vectorizes it. Contraction is off in this file, so every clone rounds
+// each multiply and add on its own, as the scalar loop does, and any
+// clone's values and moments are the scalar loop's bit for bit.
+template <bool kDecay>
+DT_KERNEL_INLINE void adam_span(std::size_t n, float* __restrict values,
+                                const float* __restrict grads,
+                                float* __restrict m, float* __restrict v,
+                                const AdamCoeffs& k) {
+  const float lr = k.lr, beta1 = k.beta1, beta2 = k.beta2, eps = k.eps;
+  const float decay = k.decay, bc1 = k.bc1, bc2 = k.bc2;
+  for (std::size_t j = 0; j < n; ++j) {
+    float g = grads[j];
+    if constexpr (kDecay) g += decay * values[j];
+    m[j] = beta1 * m[j] + (1.0f - beta1) * g;
+    v[j] = beta2 * v[j] + (1.0f - beta2) * g * g;
+    const float mhat = m[j] / bc1;
+    const float vhat = v[j] / bc2;
+    values[j] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
+}
+
+DT_KERNEL_CLONES
+void adam_update(std::size_t n, float* values, const float* grads, float* m,
+                 float* v, const AdamCoeffs& k) {
+  if (k.decay > 0.0f) {
+    adam_span<true>(n, values, grads, m, v, k);
+  } else {
+    adam_span<false>(n, values, grads, m, v, k);
+  }
+}
+
+}  // namespace
 
 float clip_grad_norm(const std::vector<Parameter*>& params, float max_norm) {
   double sq = 0.0;
@@ -32,27 +74,19 @@ Adam::Adam(std::vector<Parameter*> params, Options opts)
 
 void Adam::step() {
   ++t_;
-  // The options in locals: the loop stores floats, which may alias
-  // opts_'s, so read through `this` every element would reload them.
-  const float lr = opts_.lr, beta1 = opts_.beta1, beta2 = opts_.beta2;
-  const float eps = opts_.eps, decay = opts_.weight_decay;
-  const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t_));
+  const AdamCoeffs k{
+      .lr = opts_.lr,
+      .beta1 = opts_.beta1,
+      .beta2 = opts_.beta2,
+      .eps = opts_.eps,
+      .decay = opts_.weight_decay,
+      .bc1 = 1.0f - std::pow(opts_.beta1, static_cast<float>(t_)),
+      .bc2 = 1.0f - std::pow(opts_.beta2, static_cast<float>(t_)),
+  };
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter& p = *params_[i];
-    float* values = p.value.data();
-    const float* grads = p.grad.data();
-    float* m = m_.data() + offsets_[i];
-    float* v = v_.data() + offsets_[i];
-    for (std::size_t j = 0; j < p.value.size(); ++j) {
-      float g = grads[j];
-      if (decay > 0.0f) g += decay * values[j];
-      m[j] = beta1 * m[j] + (1.0f - beta1) * g;
-      v[j] = beta2 * v[j] + (1.0f - beta2) * g * g;
-      const float mhat = m[j] / bc1;
-      const float vhat = v[j] / bc2;
-      values[j] -= lr * mhat / (std::sqrt(vhat) + eps);
-    }
+    adam_update(p.value.size(), p.value.data(), p.grad.data(),
+                m_.data() + offsets_[i], v_.data() + offsets_[i], k);
   }
 }
 

@@ -44,16 +44,16 @@ ModelServer::ModelServer(const ModelConfig& model_cfg, const ServingConfig& cfg,
       sampler_(graph, model_cfg.num_neighbors) {
   DT_CHECK_GE(cfg_.slots, 2u);
   if (cfg_.max_batch > kMaxScoreBatch) cfg_.max_batch = kMaxScoreBatch;
-  // Probe a throwaway model for the geometry every snapshot must match.
-  {
-    Rng rng(cfg_.seed);
-    TGNModel probe(model_cfg_, *graph_, static_memory_, rng);
-    if (probe.task() != TGNModel::Task::kLinkPrediction)
-      throw_serving(ServingErrc::kShapeMismatch,
-                    "serving supports link-prediction models only");
-    param_count_ = probe.num_parameters();
-    mail_raw_dim_ = probe.mail_raw_dim();
-  }
+  // Probe a model for the geometry every snapshot must match; it stays
+  // as the installer, whose weights each install rebinds.
+  Rng rng(cfg_.seed);
+  installer_ =
+      std::make_unique<TGNModel>(model_cfg_, *graph_, static_memory_, rng);
+  if (installer_->task() != TGNModel::Task::kLinkPrediction)
+    throw_serving(ServingErrc::kShapeMismatch,
+                  "serving supports link-prediction models only");
+  param_count_ = installer_->num_parameters();
+  mail_raw_dim_ = installer_->mail_raw_dim();
   slots_.reserve(cfg_.slots);
   for (std::size_t s = 0; s < cfg_.slots; ++s)
     slots_.push_back(std::make_unique<Slot>());
@@ -81,6 +81,13 @@ std::uint64_t ModelServer::install_snapshot(
   }
 
   std::lock_guard<std::mutex> lock(install_mu_);
+  // The tables first, while every slot stays servable: the drain window
+  // below does not grow with them.
+  installer_->bind_external_values(snap->weights.data());
+  std::vector<MemoryState> updated(snap->states.size());
+  for (std::size_t c = 0; c < updated.size(); ++c)
+    installer_->updated_memory_into(snap->states[c], updated[c]);
+
   const std::uint64_t nv = version_.load(std::memory_order_acquire) + 1;
   Slot& slot = *slots_[nv % cfg_.slots];
   const std::uint64_t prev = slot.version.load(std::memory_order_acquire);
@@ -107,6 +114,7 @@ std::uint64_t ModelServer::install_snapshot(
   }
 
   slot.snap = std::move(snap);
+  slot.updated = std::move(updated);
   iteration_.store(slot.snap->iteration, std::memory_order_release);
   slot.version.store(nv, std::memory_order_seq_cst);
   version_.store(nv, std::memory_order_seq_cst);
@@ -176,7 +184,8 @@ void ModelServer::Scorer::score(const ScoreRequest& req, ScoreResponse& resp) {
       ++stats_.torn_retries;
       continue;
     }
-    // Pinned and validated: `snap` cannot be swapped until we unpin.
+    // Pinned and validated: `snap` and its tables cannot be swapped
+    // until we unpin.
     const ServingSnapshot& snap = *slot.snap;
     if (req.copy >= snap.mem_copies())
       throw_serving(ServingErrc::kWrongCopy,
@@ -190,7 +199,7 @@ void ModelServer::Scorer::score(const ScoreRequest& req, ScoreResponse& resp) {
     }
 
     build_score_batch(server_->sampler_, req, mb_);
-    snap.states[req.copy].read_into(mb_.unique_nodes, slice_);
+    slot.updated[req.copy].read_into(mb_.unique_nodes, slice_);
     model_.infer_into(mb_, slice_, nullptr, step_);
 
     // Defense in depth: with the slot pinned this cannot fail (the

@@ -14,13 +14,23 @@
 //     writer would have to lap the entire ring past a pinned reader for
 //     the post-check to matter, and a pinned slot cannot be recycled at
 //     all (the writer drains it first).
-//   - The writer (install_snapshot, serialized by a mutex) claims slot
-//     (v+1) % S, marks it unpublished (version ← 0, the store half of
-//     the store/load fence against the reader's pin), waits for its
-//     reader count to drain, swaps the snapshot in, then publishes:
-//     slot version ← v+1, `version_` ← v+1. Readers arriving mid-swap
-//     either see the old `version_` (old slot, still valid) or the new
-//     one; nobody ever observes a half-installed snapshot.
+//   - The writer (install_snapshot, serialized by a mutex) first builds
+//     the snapshot's post-update memory (below) off to the side, then
+//     claims slot (v+1) % S, marks it unpublished (version ← 0, the
+//     store half of the store/load fence against the reader's pin),
+//     waits for its reader count to drain, swaps the snapshot and its
+//     tables in, then publishes: slot version ← v+1, `version_` ← v+1.
+//     Readers arriving mid-swap either see the old `version_` (old
+//     slot, still valid) or the new one; nobody ever observes a
+//     half-installed snapshot.
+//
+// A snapshot's weights and memory never change once installed, so its
+// pending mail is applied once, at install: the constructor's probe
+// model, kept as the installer and touched only under the install
+// mutex, runs UPDT over each memory copy (TGNModel::updated_memory_into)
+// into a memory-only table stored beside the snapshot. Scoring gathers
+// from that table, finds no mail and runs no GRU, and its scores equal
+// inline infer_into over the raw state bit for bit.
 //
 // Scoring runs through per-thread Scorer contexts — each owns a private
 // TGNModel (the Scratch makes a model stateful), a recycled MiniBatch /
@@ -80,7 +90,8 @@ class ModelServer {
 
   // Validates geometry against the live model (weight count, node
   // count, memory/mail dims, ≥ 1 memory copy — kShapeMismatch
-  // otherwise), then publishes through the slot ring. Throws
+  // otherwise), builds the snapshot's post-update memory, then
+  // publishes through the slot ring. Throws
   // kDrainTimeout if the claimed slot's readers do not drain in time
   // (the ring is left as it was). Returns the new version.
   std::uint64_t install_snapshot(std::shared_ptr<const ServingSnapshot> snap);
@@ -151,6 +162,7 @@ class ModelServer {
  private:
   struct Slot {
     std::shared_ptr<const ServingSnapshot> snap;
+    std::vector<MemoryState> updated;  // snap's post-UPDT memory, per copy
     std::atomic<std::uint64_t> version{0};  // 0 ⇔ unpublished
     std::atomic<std::uint32_t> readers{0};
   };
@@ -164,6 +176,10 @@ class ModelServer {
   NeighborSampler sampler_;
   std::size_t param_count_ = 0;   // probed from a live model at ctor
   std::size_t mail_raw_dim_ = 0;  // ditto — snapshot mail_dim must match
+
+  // Under install_mu_ only: the probe model, kept to build each
+  // snapshot's tables.
+  std::unique_ptr<TGNModel> installer_;
 
   std::vector<std::unique_ptr<Slot>> slots_;
   std::atomic<std::uint64_t> version_{0};

@@ -136,58 +136,6 @@ void run_rows(Layout la, std::size_t n, std::size_t k, const float* a,
   }
 }
 
-// Unblocked loops for products too small to amortize packing. The branch
-// is on shape only, so any given product is deterministic across thread
-// counts (and there are no data-dependent skips: zeros flow through the
-// arithmetic so 0 * NaN correctly yields NaN).
-void gemm_small(Layout la, Layout lb, std::size_t m, std::size_t n,
-                std::size_t k, const float* a, std::size_t lda, const float* b,
-                std::size_t ldb, float* c, std::size_t ldc, bool accumulate) {
-  if (!accumulate)
-    for (std::size_t i = 0; i < m; ++i)
-      std::memset(c + i * ldc, 0, n * sizeof(float));
-  if (la == Layout::kNormal && lb == Layout::kNormal) {
-    for (std::size_t i = 0; i < m; ++i) {
-      float* crow = c + i * ldc;
-      const float* arow = a + i * lda;
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        const float* brow = b + p * ldb;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  } else if (la == Layout::kNormal && lb == Layout::kTransposed) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* arow = a + i * lda;
-      float* crow = c + i * ldc;
-      for (std::size_t j = 0; j < n; ++j) {
-        const float* brow = b + j * ldb;
-        float acc = 0.0f;
-        for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        crow[j] += acc;
-      }
-    }
-  } else if (la == Layout::kTransposed && lb == Layout::kNormal) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const float* arow = a + p * lda;
-      const float* brow = b + p * ldb;
-      for (std::size_t i = 0; i < m; ++i) {
-        const float av = arow[i];
-        float* crow = c + i * ldc;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (std::size_t p = 0; p < k; ++p)
-          acc += *op_ptr(la, a, lda, i, p) * *op_ptr(lb, b, ldb, p, j);
-        c[i * ldc + j] += acc;
-      }
-  }
-}
-
 // ---- row fan-out ---------------------------------------------------------
 
 // Runs rows_fn(r0, r1) over rows [0, m) of a product of `flops`
@@ -232,10 +180,6 @@ void gemm(Layout la, Layout lb, std::size_t m, std::size_t n, std::size_t k,
     return;
   }
   const std::size_t flops = m * n * k;
-  if (flops < kGemmSmallFlops) {
-    gemm_small(la, lb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
-    return;
-  }
 
   // Pack all of B once; every row task reads the same panels.
   static thread_local std::vector<float> bpack;

@@ -15,13 +15,14 @@
 // thread when none is lent or the lent pool is busy with another
 // fan-out. The engine holds no thread state of its own.
 //
-// Determinism: the k (reduction) dimension is never split across
+// Determinism: every product, however small, runs the packed
+// micro-kernel, and the k (reduction) dimension is never split across
 // threads. Parallelism partitions C's rows; every (i, j) element is
 // accumulated by exactly one thread in the same k-ascending block order
-// the serial path uses, so results are bit-identical for any pool size
-// and with no pool. Tiny products (below kGemmSmallFlops multiply-adds)
-// skip the packing machinery and run simple dense loops — a shape-based
-// choice, also independent of the pool.
+// the serial path uses. A row of C therefore depends only on its own
+// row of A, on B, k and `accumulate`: its bits are the same for any
+// pool size or none, and for any row count m — one row computed alone
+// equals that row of a 100-row product.
 #pragma once
 
 #include <cstddef>
@@ -37,10 +38,6 @@ enum class Layout {
   kNormal,      // logical (i, j) at data[i * ld + j]
   kTransposed,  // logical (i, j) at data[j * ld + i]
 };
-
-// Products with fewer multiply-adds than this run the unblocked
-// fallback loops (packing would cost more than it saves).
-inline constexpr std::size_t kGemmSmallFlops = 16 * 1024;
 
 // Blocked products with fewer multiply-adds than this run on the calling
 // thread only, pool or not (fanning out costs more than it saves).

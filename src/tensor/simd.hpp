@@ -1,11 +1,14 @@
-// Private to the library's three vector kernels: the 8- and 4-lane
-// vector types and the function-multiversioning macro shared by the
-// GEMM micro-kernel (tensor/gemm.cpp), the vector math (tensor/vmath.cpp)
+// Private to the library's vector kernels: the 8- and 4-lane vector
+// types and the function-multiversioning macro shared by the GEMM
+// micro-kernel (tensor/gemm.cpp), the vector math (tensor/vmath.cpp)
 // and the attention's slot kernels (nn/attention.cpp). All three are
 // written with GCC vector extensions (GCC and Clang), and their
 // translation units are built with -ffp-contract=fast
 // (src/tensor/CMakeLists.txt, src/nn/CMakeLists.txt), so a clone with
-// FMA fuses multiply-adds that the default clone rounds twice.
+// FMA fuses multiply-adds that the default clone rounds twice. The Adam
+// update (nn/optim.cpp) uses only the macro, over a loop GCC
+// vectorizes, and is built with contraction off: its clones agree bit
+// for bit.
 #pragma once
 
 #include <cstdint>

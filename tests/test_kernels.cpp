@@ -163,7 +163,7 @@ INSTANTIATE_TEST_SUITE_P(
         GemmShape{0, 3, 4}, GemmShape{3, 0, 4}, GemmShape{3, 4, 0},
         GemmShape{1, 1, 1}, GemmShape{5, 1, 7}, GemmShape{1, 64, 1},
         GemmShape{37, 1, 41},
-        // Around and across the small-product fallback threshold.
+        // Small products, which run the packed micro-kernel too.
         GemmShape{8, 8, 8}, GemmShape{17, 3, 9}, GemmShape{40, 16, 24},
         GemmShape{64, 64, 64},
         // Blocked path: exact tile multiples (MR=6, NR=32) and shapes
@@ -174,19 +174,19 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BlockedGemm, ZeroTimesNanPropagates) {
   // The old kernels skipped a == 0 entries, silently converting
-  // 0 * NaN (= NaN) into 0. Both the fallback and the blocked path must
-  // propagate non-finite values.
+  // 0 * NaN (= NaN) into 0. Zero-padded edge tiles and full tiles must
+  // both propagate non-finite values.
   {
     Matrix a(2, 2, {0.0f, 0.0f, 1.0f, 1.0f});
     Matrix b(2, 2, {std::nanf(""), 1.0f, 2.0f, 3.0f});
     Matrix c;
-    matmul_into(a, b, c);  // small-product fallback path
+    matmul_into(a, b, c);  // one padded edge tile
     EXPECT_TRUE(std::isnan(c(0, 0)));
     EXPECT_TRUE(std::isnan(c(1, 0)));
   }
   {
     Rng rng(11);
-    Matrix a = random_matrix(64, 64, rng);  // blocked path (64^3 madds)
+    Matrix a = random_matrix(64, 64, rng);  // full tiles (64^3 madds)
     Matrix b = random_matrix(64, 64, rng);
     for (std::size_t p = 0; p < 64; ++p) a(0, p) = 0.0f;
     b(0, 5) = std::numeric_limits<float>::infinity();
@@ -246,6 +246,61 @@ TEST(BlockedGemm, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(std::memcmp(c1_tn.data(), ct_tn.data(), c1_tn.size() * sizeof(float)), 0)
         << "matmul_tn diverged at " << threads << " threads";
   }
+}
+
+// A row of C depends only on its own row of A, on B, k and
+// `accumulate`: computed alone, inside a 5-row product, or inside a
+// 100-row one, its bits are the same. The serving tier relies on it (a
+// snapshot's post-update memory, built over all nodes at once, equals
+// the few GRU rows of a request inline). Each layout pair, with and
+// without accumulate, at reduction depths within one k-block and across
+// two and three, and widths below, between and over NR-wide panels.
+TEST(BlockedGemm, RowBitsIndependentOfRowCount) {
+  using kernel::Layout;
+  constexpr std::size_t M = 100, kBlock = 5;
+  for (const Layout la : {Layout::kNormal, Layout::kTransposed})
+    for (const Layout lb : {Layout::kNormal, Layout::kTransposed})
+      for (const bool acc : {false, true})
+        for (const std::size_t K : {1, 16, 256, 257, 600})
+          for (const std::size_t N : {1, 24, 33, 96}) {
+            const std::string what =
+                std::string(la == Layout::kNormal ? "N" : "T") +
+                (lb == Layout::kNormal ? "N" : "T") + (acc ? " acc" : "") +
+                " K=" + std::to_string(K) + " N=" + std::to_string(N);
+            Rng rng(K * 131 + N);
+            // Storage: A is [M x K] (normal) or [K x M]; B [K x N] or
+            // [N x K]; c0 is what C holds before an accumulating call.
+            const Matrix a = random_matrix(la == Layout::kNormal ? M : K,
+                                           la == Layout::kNormal ? K : M, rng);
+            const Matrix b = random_matrix(lb == Layout::kNormal ? K : N,
+                                           lb == Layout::kNormal ? N : K, rng);
+            const Matrix c0 = random_matrix(M, N, rng);
+            // Rows [r0, r0 + m) of the product, as their own product.
+            auto rows = [&](std::size_t r0, std::size_t m) {
+              Matrix c(m, N);
+              std::memcpy(c.data(), c0.row_ptr(r0), m * N * sizeof(float));
+              const float* ap =
+                  la == Layout::kNormal ? a.row_ptr(r0) : a.data() + r0;
+              kernel::gemm(la, lb, m, N, K, ap, a.cols(), b.data(), b.cols(),
+                           c.data(), N, acc);
+              return c;
+            };
+            const Matrix full = rows(0, M);
+            std::size_t alone_differs = 0, block_differs = 0;
+            for (std::size_t r0 = 0; r0 < M; r0 += kBlock) {
+              const Matrix block = rows(r0, kBlock);
+              for (std::size_t i = r0; i < r0 + kBlock; ++i) {
+                const Matrix one = rows(i, 1);
+                alone_differs += std::memcmp(one.data(), full.row_ptr(i),
+                                             N * sizeof(float)) != 0;
+                block_differs +=
+                    std::memcmp(block.row_ptr(i - r0), full.row_ptr(i),
+                                N * sizeof(float)) != 0;
+              }
+            }
+            EXPECT_EQ(alone_differs, 0u) << what << ": rows computed alone";
+            EXPECT_EQ(block_differs, 0u) << what << ": rows in 5-row products";
+          }
 }
 
 // The serving and thread-fabric shape: several callers lend one pool at

@@ -45,6 +45,40 @@ TEST(MemoryState, EmptyReadAndWriteAreNoOps) {
   state.write(w);  // must not throw
 }
 
+// A memory-only table (mail width 0, as the serving tier's post-update
+// memory is) writes, reads into a fresh slice, and restores without
+// touching the empty mail buffers.
+TEST(MemoryState, MemoryOnlyTableRoundTrips) {
+  MemoryState state(6, 3, 0);
+  MemoryWrite w;
+  w.nodes = {2, 5};
+  w.mem = Matrix(2, 3, {1, 1, 1, 2, 2, 2});
+  w.mem_ts = {10.0f, 11.0f};
+  w.mail = Matrix(2, 0);
+  w.mail_ts = {10.5f, 11.5f};
+  state.write(w);
+
+  const std::vector<NodeId> nodes = {5, 0, 2};
+  MemorySlice s;
+  state.read_into(nodes, s);
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.mail.cols(), 0u);
+  EXPECT_FLOAT_EQ(s.mem(0, 0), 2.0f);
+  EXPECT_FLOAT_EQ(s.mem_ts[2], 10.0f);
+
+  const std::vector<std::uint8_t> flags(3, 0);
+  MemoryState restored(6, 3, 0);
+  restored.restore(nodes, s.mem, s.mem_ts, s.mail, s.mail_ts, flags);
+  for (const NodeId v : nodes) {
+    EXPECT_EQ(std::memcmp(restored.mem_row(v).data(), state.mem_row(v).data(),
+                          3 * sizeof(float)),
+              0)
+        << "node " << v;
+    EXPECT_EQ(restored.last_update(v), state.last_update(v)) << "node " << v;
+    EXPECT_FALSE(restored.has_mail(v)) << "node " << v;
+  }
+}
+
 TEST(MemoryState, CopyIsIndependent) {
   MemoryState a(3, 2, 4);
   MemoryWrite w;

@@ -590,11 +590,66 @@ TEST_P(PooledInference, LeavesNoBackwardStateForTraining) {
     expect_same_bits(pa[i]->grad, pb[i]->grad, pa[i]->name + ".grad");
 }
 
-INSTANTIATE_TEST_SUITE_P(Tasks, PooledInference, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? std::string("Classification")
-                                             : std::string("LinkPrediction");
-                         });
+std::string task_name(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "Classification" : "LinkPrediction";
+}
+
+INSTANTIATE_TEST_SUITE_P(Tasks, PooledInference, ::testing::Bool(), task_name);
+
+// ---- post-update memory --------------------------------------------------
+
+class UpdatedMemory : public ::testing::TestWithParam<bool> {};
+
+// updated_memory_into applies every pending mail up front, in its own
+// node blocks: inference over the table finds no mail, and returns the
+// bits inference over the raw state returns, at every batch size. One
+// event's GRU rows share no product with other rows inline, and all of
+// the graph's in the table. The write-back agrees too: the same memory
+// rows and mails, and the consumed mail's timestamp as last update.
+TEST_P(UpdatedMemory, InferenceOverItMatchesTheRawStateBitwise) {
+  FullInputCase fx(/*classification=*/GetParam());
+  MemoryState table;
+  fx.model.updated_memory_into(fx.state, table);
+  ASSERT_EQ(table.num_nodes(), fx.state.num_nodes());
+  EXPECT_EQ(table.mem_dim(), fx.cfg.mem_dim);
+  EXPECT_EQ(table.mail_dim(), 0u);
+  std::size_t pending = 0;
+  for (NodeId v = 0; v < fx.state.num_nodes(); ++v) {
+    EXPECT_FALSE(table.has_mail(v)) << "node " << v;
+    EXPECT_EQ(table.mail_ts(v), 0.0f) << "node " << v;
+    pending += fx.state.has_mail(v) ? 1 : 0;
+  }
+  ASSERT_GT(pending, 0u) << "the primed state must hold mails";
+
+  MemorySlice raw, updated;
+  for (const std::size_t events : {1, 2, 4, 8, 200}) {
+    for (const std::size_t begin : {300, 333}) {
+      const std::string what = std::to_string(events) + " events from " +
+                               std::to_string(begin);
+      MiniBatch mb;
+      fx.build_into(1, begin, begin + events, mb);
+      fx.state.read_into(mb.unique_nodes, raw);
+      table.read_into(mb.unique_nodes, updated);
+      EXPECT_EQ(std::count(updated.has_mail.begin(), updated.has_mail.end(), 1),
+                0)
+          << what;
+      TGNModel::StepResult ref, out;
+      MemoryWrite ref_write, write;
+      fx.model.infer_into(mb, raw, &ref_write, ref);
+      fx.model.infer_into(mb, updated, &write, out);
+      expect_same_bits(ref.pos_scores, out.pos_scores, what + " pos_scores");
+      expect_same_bits(ref.neg_scores, out.neg_scores, what + " neg_scores");
+      expect_same_bits(ref.logits, out.logits, what + " logits");
+      EXPECT_EQ(ref_write.nodes, write.nodes) << what;
+      expect_same_bits(ref_write.mem, write.mem, what + " write.mem");
+      EXPECT_EQ(ref_write.mem_ts, write.mem_ts) << what;
+      expect_same_bits(ref_write.mail, write.mail, what + " write.mail");
+      EXPECT_EQ(ref_write.mail_ts, write.mail_ts) << what;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tasks, UpdatedMemory, ::testing::Bool(), task_name);
 
 }  // namespace
 }  // namespace disttgl

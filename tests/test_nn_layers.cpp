@@ -19,7 +19,6 @@
 #include "nn/optim.hpp"
 #include "nn/predictor.hpp"
 #include "nn/time_encoding.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -475,16 +474,13 @@ TEST_P(FactoredAttentionTest, MatchesPerSlotReference) {
   }
 }
 
-// The Kt/Vt products are U·attn_dim·node_dim multiply-adds: 7·8·12 and
-// 20·8·12 run gemm's unblocked loops, the rest its blocked path.
-static_assert(20 * 8 * 12 < kernel::kGemmSmallFlops &&
-              200 * 32 * 24 >= kernel::kGemmSmallFlops &&
-              245 * 100 * 100 >= kernel::kGemmSmallFlops);
+// The Kt/Vt products are U·attn_dim·node_dim multiply-adds, from 7·8·12
+// to 245·100·100; every one runs gemm's packed micro-kernel.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, FactoredAttentionTest,
     ::testing::Values(
         // Repeated indices into a small table, each edge width and head
-        // count (unblocked table products).
+        // count (table products under 2K multiply-adds).
         AttnShape{40, 5, 7, 12, 0, 4, 8, 1, AttnShape::kRandom},
         AttnShape{40, 5, 7, 12, 0, 4, 8, 2, AttnShape::kRandom},
         AttnShape{40, 5, 7, 12, 3, 4, 8, 2, AttnShape::kRandom},
@@ -495,7 +491,8 @@ INSTANTIATE_TEST_SUITE_P(
         AttnShape{25, 5, 7, 12, 3, 4, 8, 2, AttnShape::kNone},
         AttnShape{25, 5, 7, 12, 0, 4, 8, 1, AttnShape::kNone},
         AttnShape{25, 5, 7, 12, 16, 4, 8, 2, AttnShape::kFull},
-        // Blocked table products, every edge width and head count.
+        // Table products of 16K multiply-adds and more, every edge
+        // width and head count.
         AttnShape{120, 10, 200, 24, 0, 8, 32, 1, AttnShape::kRandom},
         AttnShape{120, 10, 200, 24, 3, 8, 32, 2, AttnShape::kRandom},
         AttnShape{120, 10, 200, 24, 16, 8, 32, 4, AttnShape::kRandom},
@@ -530,10 +527,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The root side: roots repeating rows of a root table (Shapes gives
 // every root its own row). The Q product is root_rows·attn_dim·node_dim
-// multiply-adds: 1 and 9 rows run gemm's unblocked loops, 192 rows its
-// blocked path.
-static_assert(9 * 8 * 12 < kernel::kGemmSmallFlops &&
-              192 * 8 * 12 >= kernel::kGemmSmallFlops);
+// multiply-adds: 1, 9 and 192 rows.
 INSTANTIATE_TEST_SUITE_P(
     RootShapes, FactoredAttentionTest,
     ::testing::Values(
@@ -1001,6 +995,80 @@ TEST(Adam, RestoredStateContinuesTheUpdateStreamBitwise) {
                          resumed->moment1().begin(), resumed->moment1().end()));
   EXPECT_TRUE(std::equal(whole.moment2().begin(), whole.moment2().end(),
                          resumed->moment2().begin(), resumed->moment2().end()));
+}
+
+// The update runs as one vectorized span loop per parameter; its values
+// and both moments must equal the plain scalar loop's bit for bit, at
+// every parameter size (vector tails included) and with and without
+// weight decay. Each step of the reference rounds on its own line.
+TEST(Adam, VectorizedStepMatchesTheScalarLoopBitwise) {
+  for (const float decay : {0.0f, 0.01f}) {
+    nn::Parameter a("a", 1, 37), b("b", 5, 13), c("c", 1, 1);
+    const std::vector<nn::Parameter*> params = {&a, &b, &c};
+    Rng rng(17);
+    for (nn::Parameter* p : params)
+      for (std::size_t i = 0; i < p->size(); ++i)
+        p->value.data()[i] = static_cast<float>(rng.normal());
+    const nn::AdamOptions opts{.lr = 1e-2f, .weight_decay = decay};
+    nn::Adam opt(params, opts);
+
+    std::vector<float> w, m, v;
+    for (const nn::Parameter* p : params)
+      w.insert(w.end(), p->value.data(), p->value.data() + p->size());
+    m.assign(w.size(), 0.0f);
+    v.assign(w.size(), 0.0f);
+    for (std::size_t t = 1; t <= 20; ++t) {
+      std::vector<float> g;
+      for (nn::Parameter* p : params)
+        for (std::size_t i = 0; i < p->size(); ++i) {
+          // Some exact zeros of both signs among the gradients.
+          const float x = i % 7 == 3   ? (t % 2 ? 0.0f : -0.0f)
+                          : static_cast<float>(rng.normal());
+          p->grad.data()[i] = x;
+          g.push_back(x);
+        }
+      opt.step();
+
+      const float bc1 = 1.0f - std::pow(opts.beta1, static_cast<float>(t));
+      const float bc2 = 1.0f - std::pow(opts.beta2, static_cast<float>(t));
+      for (std::size_t x = 0; x < w.size(); ++x) {
+        float gx = g[x];
+        if (decay > 0.0f) {
+          const float dw = decay * w[x];
+          gx = gx + dw;
+        }
+        const float m1 = opts.beta1 * m[x];
+        const float m2 = (1.0f - opts.beta1) * gx;
+        m[x] = m1 + m2;
+        const float v1 = opts.beta2 * v[x];
+        const float v2 = (1.0f - opts.beta2) * gx;
+        const float v3 = v2 * gx;
+        v[x] = v1 + v3;
+        const float mhat = m[x] / bc1;
+        const float vhat = v[x] / bc2;
+        const float num = opts.lr * mhat;
+        const float den = std::sqrt(vhat) + opts.eps;
+        const float step = num / den;
+        w[x] = w[x] - step;
+      }
+    }
+    const std::string what = "weight decay " + std::to_string(decay);
+    std::vector<float> got;
+    for (const nn::Parameter* p : params)
+      got.insert(got.end(), p->value.data(), p->value.data() + p->size());
+    ASSERT_EQ(got.size(), w.size());
+    EXPECT_EQ(std::memcmp(got.data(), w.data(), w.size() * sizeof(float)), 0)
+        << what << ": values";
+    ASSERT_EQ(opt.moment1().size(), m.size());
+    EXPECT_EQ(std::memcmp(opt.moment1().data(), m.data(),
+                          m.size() * sizeof(float)),
+              0)
+        << what << ": first moments";
+    EXPECT_EQ(std::memcmp(opt.moment2().data(), v.data(),
+                          v.size() * sizeof(float)),
+              0)
+        << what << ": second moments";
+  }
 }
 
 TEST(Loss, LinkPredictionDirection) {

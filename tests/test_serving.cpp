@@ -469,24 +469,33 @@ TEST_P(CheckpointServeEquivalence, ServedScoresMatchInlineInference) {
   MemorySlice ref_slice;
   TGNModel::StepResult ref_step;
 
+  auto expect_inline_bits = [&](std::uint32_t copy, std::size_t begin,
+                                std::size_t end) {
+    const ScoreRequest req = request_over_events(g, begin, end, copy);
+    ScoreResponse resp;
+    scorer->score(req, resp);
+    ASSERT_EQ(resp.iteration, snap->iteration);
+    ASSERT_EQ(resp.scores.size(), req.size());
+
+    serving::build_score_batch(ref_sampler, req, ref_mb);
+    snap->states[copy].read_into(ref_mb.unique_nodes, ref_slice);
+    ref_model.infer_into(ref_mb, ref_slice, nullptr, ref_step);
+    for (std::size_t x = 0; x < req.size(); ++x)
+      ASSERT_EQ(resp.scores[x], ref_step.pos_scores.data()[x])
+          << "copy " << copy << " events [" << begin << ", " << end
+          << ") edge " << x;
+  };
   // Eval-range edges (the 70/15/15 split puts [1120, 1600) past
-  // training), over every memory copy and several batch shapes.
+  // training), over every memory copy: several batch shapes, then the
+  // whole range cut into 1-, 2-, 4- and 8-edge requests, whose few GRU
+  // rows inline share a product with no other row.
   const std::size_t shapes[][2] = {{1120, 1160}, {1300, 1316}, {1500, 1556}};
   for (std::uint32_t copy = 0; copy < k; ++copy) {
-    for (const auto& sh : shapes) {
-      const ScoreRequest req = request_over_events(g, sh[0], sh[1], copy);
-      ScoreResponse resp;
-      scorer->score(req, resp);
-      ASSERT_EQ(resp.iteration, snap->iteration);
-      ASSERT_EQ(resp.scores.size(), req.size());
-
-      serving::build_score_batch(ref_sampler, req, ref_mb);
-      snap->states[copy].read_into(ref_mb.unique_nodes, ref_slice);
-      ref_model.infer_into(ref_mb, ref_slice, nullptr, ref_step);
-      for (std::size_t x = 0; x < req.size(); ++x)
-        ASSERT_EQ(resp.scores[x], ref_step.pos_scores.data()[x])
-            << "copy " << copy << " edge " << x;
-    }
+    for (const auto& sh : shapes)
+      ASSERT_NO_FATAL_FAILURE(expect_inline_bits(copy, sh[0], sh[1]));
+    for (const std::size_t edges : {1, 2, 4, 8})
+      for (std::size_t e = 1120; e < 1600; e += edges)
+        ASSERT_NO_FATAL_FAILURE(expect_inline_bits(copy, e, e + edges));
   }
 }
 
