@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the kernel-level hot paths: GEMM
-// (all three layout-tag products), masked softmax, GRU cell, time
-// encoding, temporal attention, the link-prediction head, neighbor
-// sampling, memory gather/scatter. These are the quantities the throughput model's
+// (all three layout-tag products, and narrow ones), masked softmax, GRU
+// cell, time encoding, temporal attention, the link-prediction head,
+// neighbor sampling, memory gather/scatter. These are the quantities the throughput model's
 // gpu_flops/bytes inputs abstract over.
 //
 // Every benchmark measures the steady-state training iteration: outputs
@@ -23,6 +23,7 @@
 #include "nn/predictor.hpp"
 #include "nn/time_encoding.hpp"
 #include "sampling/minibatch.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -89,6 +90,39 @@ void BM_GemmTnInto(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTnInto)->Arg(128)->Arg(256);
 
+// Products narrower than 8 columns, which run the narrow kernel, at the
+// workloads' shapes: the pair head's output column over train-proc-ckpt's
+// final evaluation (NN 15,000x1x100: 15,000 candidates, hidden 100) and
+// its weight gradient over a train-thread step (TN 8x1x2,400: hidden 8,
+// 2,400 candidates, accumulated); train-thread's per-head tbar·W_v,tail
+// (NN 3,600x4x20: 3,600 roots, a head 4 wide, Φ 4 plus 16 edge features)
+// and its weight gradient (TN 20x4x3,600, accumulated).
+void BM_GemmNarrow(benchmark::State& state) {
+  using kernel::Layout;
+  const bool tn = state.range(0) != 0;
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  const auto k = static_cast<std::size_t>(state.range(3));
+  Rng rng(12);
+  const Matrix a = tn ? random_matrix(k, m, rng) : random_matrix(m, k, rng);
+  const Matrix b = random_matrix(k, n, rng);
+  Matrix c(m, n);
+  for (auto _ : state) {
+    kernel::gemm(tn ? Layout::kTransposed : Layout::kNormal, Layout::kNormal,
+                 m, n, k, a.data(), a.cols(), b.data(), n, c.data(), n,
+                 /*accumulate=*/tn);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  set_gemm_counters(state, m, n, k);
+}
+BENCHMARK(BM_GemmNarrow)
+    ->ArgNames({"tn", "m", "n", "k"})
+    ->Args({0, 15000, 1, 100})
+    ->Args({1, 8, 1, 2400})
+    ->Args({0, 3600, 4, 20})
+    ->Args({1, 20, 4, 3600});
+
 // The attention's masked softmax over a block of roots' rows, in place
 // (on its own output after the first iteration, which exponentiates
 // the same entries).
@@ -124,6 +158,30 @@ void BM_GruCellInto(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_GruCellInto)->Arg(600)->Arg(2400);
+
+// UPDT's backward at train-tcp's shape: 327 nodes holding mail, the
+// GRU's input {mail (216) || Φ (16)}, memory 100 wide. The model reads
+// only Φ's 16 columns of the input gradient. Parameter gradients
+// accumulate across iterations, as over a step's versions.
+void BM_GruCellBackward(benchmark::State& state) {
+  constexpr std::size_t kRows = 327, kInput = 232, kHidden = 100, kTime = 16;
+  Rng rng(13);
+  nn::GRUCell cell("g", kInput, kHidden, rng);
+  const Matrix x = random_matrix(kRows, kInput, rng);
+  const Matrix h = random_matrix(kRows, kHidden, rng);
+  const Matrix dh = random_matrix(kRows, kHidden, rng);
+  nn::GRUCell::Ctx ctx;
+  Matrix h_new, dphi;
+  cell.forward_into(x, h, ctx, h_new);
+  cell.backward_into(ctx, dh, kInput - kTime, dphi);  // warm-up
+  for (auto _ : state) {
+    cell.backward_into(ctx, dh, kInput - kTime, dphi);
+    benchmark::DoNotOptimize(dphi.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_GruCellBackward);
 
 // Φ(Δt) over one Δt per row, 16 wide (every workload's time_dim), as
 // inference runs it: Arg(1024) is a serve-stream request's slots,

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,9 +106,11 @@ struct Fixture {
     server.install_snapshot(make_snapshot(1));
   }
 
-  // Fresh-model weights perturbed per iteration; zeroed node memory.
-  // Contents are irrelevant to the cost being measured — only the
-  // geometry (and that successive installs differ) matters.
+  // Fresh-model weights perturbed per iteration; zeroed node memory
+  // with a seeded pending mail on every node, so each install runs UPDT
+  // over all of them as a trained snapshot's does. Contents are
+  // irrelevant to the cost being measured — only the geometry, the
+  // pending mail, and that successive installs differ matter.
   std::shared_ptr<serving::ServingSnapshot> make_snapshot(
       std::size_t iter) const {
     Rng rng(101);
@@ -117,8 +120,23 @@ struct Fixture {
     nn::flatten_values(probe.cached_parameters(), snap->weights);
     for (float& w : snap->weights)
       w += 1e-4f * static_cast<float>(iter % 17);
-    snap->states.emplace_back(graph.num_nodes(), cfg.mem_dim,
-                              probe.mail_raw_dim());
+    const std::size_t nodes = graph.num_nodes();
+    snap->states.emplace_back(nodes, cfg.mem_dim, probe.mail_raw_dim());
+    MemoryWrite mail;
+    mail.nodes.resize(nodes);
+    std::iota(mail.nodes.begin(), mail.nodes.end(), NodeId{0});
+    mail.mem = Matrix(nodes, cfg.mem_dim, 0.0f);
+    mail.mem_ts.assign(nodes, 0.0f);
+    mail.mail = Matrix(nodes, probe.mail_raw_dim());
+    Rng mail_rng(202);
+    for (std::size_t i = 0; i < mail.mail.size(); ++i)
+      mail.mail.data()[i] = static_cast<float>(mail_rng.normal());
+    const float last_ts =
+        graph.event(static_cast<EdgeId>(graph.num_events() - 1)).ts;
+    for (std::size_t v = 0; v < nodes; ++v)
+      mail.mail_ts.push_back(
+          static_cast<float>(mail_rng.uniform(0.0, last_ts)));
+    snap->states.back().write(mail);
     return snap;
   }
 

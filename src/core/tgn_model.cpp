@@ -221,14 +221,15 @@ void TGNModel::embed_backward(EmbedCtx& ctx, const Matrix& demb) {
   }
 
   // Through the GRU for the rows it touched; the chain stops at the
-  // previous memory and the mail contents (both inputs from storage).
+  // previous memory and the mail contents (both inputs from storage), so
+  // the GRU forms only its input gradient's trailing time_dim columns,
+  // which feed the mail time encoding.
   if (!ctx.gru_rows.empty()) {
     Matrix& dh = ws.mat(0, 0);
     ds_new->gather_rows_into(ctx.gru_rows, dh);
-    updater_.backward_into(ctx.gru_ctx, dh, scratch_.gru_grads);
-    // The trailing time_dim columns of dx feed the mail time encoding.
-    mail_time_enc_.backward_cols(ctx.mail_time_ctx, scratch_.gru_grads.dx,
-                                 mail_raw_dim_);
+    Matrix& dphi = ws.mat(0, 0);
+    updater_.backward_into(ctx.gru_ctx, dh, mail_raw_dim_, dphi);
+    mail_time_enc_.backward_cols(ctx.mail_time_ctx, dphi, 0);
   }
 }
 

@@ -127,7 +127,6 @@ class TGNModel : public nn::Module {
     EmbedCtx embed;
     Workspace ws;                               // loose temporaries
     nn::TemporalAttention::InputGrads attn_grads;
-    nn::GRUCell::InputGrads gru_grads;
     nn::PairHead::Ctx head_ctx;
     Matrix demb;                                // dL/d(embeddings), training
     // make_write working set (persists so assembling the MemoryWrite

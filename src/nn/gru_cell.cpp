@@ -1,6 +1,7 @@
 #include "nn/gru_cell.hpp"
 
 #include "nn/init.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/vmath.hpp"
 
@@ -78,11 +79,14 @@ void GRUCell::forward_into(const Matrix& x, const Matrix& h, Ctx& ctx,
   }
 }
 
-void GRUCell::backward_into(Ctx& ctx, const Matrix& dh_next, InputGrads& grads) {
+void GRUCell::backward_into(Ctx& ctx, const Matrix& dh_next,
+                            std::size_t dx_col0, Matrix& dx) {
   const std::size_t d = hidden_dim();
+  const std::size_t in = input_dim();
   const std::size_t nrows = ctx.h.rows();
   DT_CHECK_EQ(dh_next.rows(), nrows);
   DT_CHECK_EQ(dh_next.cols(), d);
+  DT_CHECK_LE(dx_col0, in);
 
   // One fused pass: h' = (1-z)n + zh, through tanh / the gate sigmoids,
   // into the packed [r|z|n] gradient layout the weight GEMMs consume.
@@ -119,11 +123,12 @@ void GRUCell::backward_into(Ctx& ctx, const Matrix& dh_next, InputGrads& grads) 
   column_sums_acc(ctx.dgi, bi_.grad);
   column_sums_acc(ctx.dgh, bh_.grad);
 
-  matmul_nt_into(ctx.dgi, wi_.value, grads.dx);
-  matmul_nt_into(ctx.dgh, wh_.value, grads.dh);
-  // Direct path h' = ... + z ⊙ h.
-  for (std::size_t i = 0; i < grads.dh.size(); ++i)
-    grads.dh.data()[i] += dh_next.data()[i] * ctx.z.data()[i];
+  // dx[:, c] = dgi · W_ih[dx_col0 + c, :]ᵀ.
+  dx.reset_shape(nrows, in - dx_col0);
+  kernel::gemm(kernel::Layout::kNormal, kernel::Layout::kTransposed, nrows,
+               in - dx_col0, 3 * d, ctx.dgi.data(), 3 * d,
+               wi_.value.row_ptr(dx_col0), 3 * d, dx.data(), dx.cols(),
+               /*accumulate=*/false);
 }
 
 void GRUCell::collect_parameters(std::vector<Parameter*>& out) {

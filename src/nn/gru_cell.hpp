@@ -6,8 +6,9 @@
 //   h' = (1 − z) ⊙ n + z ⊙ h
 //
 // Following the paper (§2.1), gradients are trained *within* each cell
-// application: backward produces parameter gradients plus dx and dh, and
-// the trainer stops the chain at the previous memory state (no BPTT).
+// application: the chain stops at the previous memory state (no BPTT),
+// so backward forms the parameter gradients and only the input-gradient
+// columns its caller reads — no dh.
 //
 // The Ctx also carries the cell's scratch (fused gate buffers), so a
 // caller that reuses one Ctx across iterations runs allocation-free.
@@ -41,13 +42,12 @@ class GRUCell : public Module {
   void forward_into(const Matrix& x, const Matrix& h, Ctx& ctx,
                     Matrix& h_new, const Pass& pass = {}) const;
 
-  struct InputGrads {
-    Matrix dx;
-    Matrix dh;
-  };
-  // Accumulates parameter gradients; writes the input gradients into
-  // caller-owned grads.
-  void backward_into(Ctx& ctx, const Matrix& dh_next, InputGrads& grads);
+  // Accumulates parameter gradients, and writes x's gradient columns
+  // [dx_col0, input_dim) into dx, reshaped to [batch x (input_dim −
+  // dx_col0)]: one product over W_ih's trailing rows. Each column's bits
+  // equal that column of the full input gradient.
+  void backward_into(Ctx& ctx, const Matrix& dh_next, std::size_t dx_col0,
+                     Matrix& dx);
 
   void collect_parameters(std::vector<Parameter*>& out) override;
 

@@ -8,21 +8,26 @@
 // multiplied by a register-blocked MR x NR micro-kernel written with GCC
 // vector extensions; on x86-64 the kernel is function-multiversioned
 // (`target_clones`) so one portable binary dispatches to AVX2/AVX-512 at
-// load time.
+// load time. A product narrower than 8 columns runs a narrow kernel in
+// the same clones instead, its lanes across 8 rows of A, so a single
+// output column does not pad B to a 32-wide panel.
 //
 // Parallelism: a product fans out only over the ThreadPool its caller
 // lends (nn::Pass::pool for a forward pass), and runs on the calling
 // thread when none is lent or the lent pool is busy with another
 // fan-out. The engine holds no thread state of its own.
 //
-// Determinism: every product, however small, runs the packed
-// micro-kernel, and the k (reduction) dimension is never split across
-// threads. Parallelism partitions C's rows; every (i, j) element is
-// accumulated by exactly one thread in the same k-ascending block order
-// the serial path uses. A row of C therefore depends only on its own
-// row of A, on B, k and `accumulate`: its bits are the same for any
-// pool size or none, and for any row count m — one row computed alone
-// equals that row of a 100-row product.
+// Determinism: every element, on either kernel, runs one chain —
+// acc = 0, acc += a·b in k order within each k-block, then C = acc or
+// C += acc, the blocks in ascending order — and the k (reduction)
+// dimension is never split across threads. Parallelism partitions C's
+// rows; every (i, j) element is accumulated by exactly one thread. A row
+// of C therefore depends only on its own row of A, on B, k and
+// `accumulate`: its bits are the same for any pool size or none, and for
+// any row count m — one row computed alone equals that row of a 100-row
+// product. Likewise a column depends only on A, its own column of B, k
+// and `accumulate`, not on n: each column of a 1-, 4- or 7-wide product
+// equals that column of a 32-wide one.
 #pragma once
 
 #include <cstddef>

@@ -170,7 +170,10 @@ INSTANTIATE_TEST_SUITE_P(
         // that are a multiple of neither, plus a K > KC=256 case.
         GemmShape{6, 64, 32}, GemmShape{12, 128, 64}, GemmShape{65, 33, 47},
         GemmShape{7, 45, 300}, GemmShape{128, 128, 128},
-        GemmShape{130, 70, 90}, GemmShape{31, 513, 65}));
+        GemmShape{130, 70, 90}, GemmShape{31, 513, 65},
+        // Narrow products (n < 8, A's rows across the lanes): full and
+        // partial row tiles, k within one block and across three.
+        GemmShape{45, 300, 5}, GemmShape{70, 600, 1}, GemmShape{9, 20, 4}));
 
 TEST(BlockedGemm, ZeroTimesNanPropagates) {
   // The old kernels skipped a == 0 entries, silently converting
@@ -180,7 +183,7 @@ TEST(BlockedGemm, ZeroTimesNanPropagates) {
     Matrix a(2, 2, {0.0f, 0.0f, 1.0f, 1.0f});
     Matrix b(2, 2, {std::nanf(""), 1.0f, 2.0f, 3.0f});
     Matrix c;
-    matmul_into(a, b, c);  // one padded edge tile
+    matmul_into(a, b, c);  // narrow: one row tile, zero-padded
     EXPECT_TRUE(std::isnan(c(0, 0)));
     EXPECT_TRUE(std::isnan(c(1, 0)));
   }
@@ -303,6 +306,61 @@ TEST(BlockedGemm, RowBitsIndependentOfRowCount) {
           }
 }
 
+// A column of C depends only on A, its own column of B, k and
+// `accumulate`: a product narrower than 8 columns runs the narrow kernel
+// (A's rows across the lanes), a 32-wide one the blocked micro-kernel,
+// and each column of the narrow product equals that column of the wide
+// one. Each layout pair, with and without accumulate, at reduction
+// depths within one k-block, on both sides of its edge and across
+// several, on the calling thread and over a lent pool (the deepest
+// products clear kParallelFlops, so their row chunks fan out).
+TEST(BlockedGemm, ColumnBitsIndependentOfColumnCount) {
+  using kernel::Layout;
+  constexpr std::size_t M = 101, kWide = 32;
+  static_assert(M * 5 * 3600 >= kernel::kParallelFlops);
+  ThreadPool pool(3);
+  std::size_t compared = 0;
+  for (ThreadPool* lent : {static_cast<ThreadPool*>(nullptr), &pool})
+    for (const Layout la : {Layout::kNormal, Layout::kTransposed})
+      for (const Layout lb : {Layout::kNormal, Layout::kTransposed})
+        for (const bool acc : {false, true})
+          for (const std::size_t K : {1, 3, 16, 255, 256, 257, 600, 3600}) {
+            Rng rng(K * 977 + (acc ? 1 : 0));
+            // Storage: A is [M x K] (normal) or [K x M]; B [K x 32] or
+            // [32 x K], so its leading N columns are the narrow
+            // product's B at the same pointer and leading dimension.
+            const Matrix a = random_matrix(la == Layout::kNormal ? M : K,
+                                           la == Layout::kNormal ? K : M, rng);
+            const Matrix b = random_matrix(lb == Layout::kNormal ? K : kWide,
+                                           lb == Layout::kNormal ? kWide : K,
+                                           rng);
+            const Matrix c0 = random_matrix(M, kWide, rng);
+            Matrix wide = c0;
+            kernel::gemm(la, lb, M, kWide, K, a.data(), a.cols(), b.data(),
+                         b.cols(), wide.data(), kWide, acc, lent);
+            for (const std::size_t N : {1, 2, 4, 5, 7}) {
+              Matrix narrow(M, N);
+              for (std::size_t i = 0; i < M; ++i)
+                std::memcpy(narrow.row_ptr(i), c0.row_ptr(i),
+                            N * sizeof(float));
+              kernel::gemm(la, lb, M, N, K, a.data(), a.cols(), b.data(),
+                           b.cols(), narrow.data(), N, acc, lent);
+              std::size_t differs = 0;
+              for (std::size_t i = 0; i < M; ++i)
+                for (std::size_t j = 0; j < N; ++j)
+                  differs += std::memcmp(&narrow(i, j), &wide(i, j),
+                                         sizeof(float)) != 0;
+              compared += M * N;
+              EXPECT_EQ(differs, 0u)
+                  << (la == Layout::kNormal ? "N" : "T")
+                  << (lb == Layout::kNormal ? "N" : "T") << (acc ? " acc" : "")
+                  << " K=" << K << " N=" << N
+                  << (lent != nullptr ? " pooled" : "");
+            }
+          }
+  EXPECT_EQ(compared, 2u * 4 * 2 * 8 * (1 + 2 + 4 + 5 + 7) * M);
+}
+
 // The serving and thread-fabric shape: several callers lend one pool at
 // once. One fans out, the others find it busy and run serially; every
 // caller still gets the serial bits.
@@ -422,18 +480,28 @@ TEST(WorkspaceTest, SlotsAreStableAndReused) {
 class AllocationFree : public ::testing::Test {};
 
 TEST_F(AllocationFree, PooledGemmSteadyState) {
-  // A product past kParallelFlops over a lent pool: the row chunks go
-  // out through try_parallel_for, and a chunk needs no buffer of the
-  // worker that runs it.
+  // Products past kParallelFlops over a lent pool, one on the blocked
+  // path and one narrow (a single output column): the row chunks go out
+  // through try_parallel_for, and a chunk needs no buffer of the worker
+  // that runs it.
   Rng rng(6);
   Matrix a = random_matrix(300, 64, rng);
   Matrix b = random_matrix(64, 48, rng);
   static_assert(300 * 64 * 48 >= kernel::kParallelFlops);
-  Matrix c;
+  Matrix a_col = random_matrix(4200, 128, rng);
+  Matrix b_col = random_matrix(128, 1, rng);
+  static_assert(4200 * 128 * 1 >= kernel::kParallelFlops);
+  Matrix c, c_col;
   ThreadPool pool(3);
-  for (int i = 0; i < 2; ++i) matmul_into(a, b, c, &pool);
+  for (int i = 0; i < 2; ++i) {
+    matmul_into(a, b, c, &pool);
+    matmul_into(a_col, b_col, c_col, &pool);
+  }
   const std::size_t before = g_alloc_count.load();
-  for (int i = 0; i < 5; ++i) matmul_into(a, b, c, &pool);
+  for (int i = 0; i < 5; ++i) {
+    matmul_into(a, b, c, &pool);
+    matmul_into(a_col, b_col, c_col, &pool);
+  }
   EXPECT_EQ(g_alloc_count.load(), before) << "pooled GEMM allocated";
 }
 
@@ -444,16 +512,15 @@ TEST_F(AllocationFree, GruCellForwardBackwardSteadyState) {
   Matrix h = random_matrix(300, 32, rng);
   Matrix dh_next = random_matrix(300, 32, rng);
   nn::GRUCell::Ctx ctx;
-  nn::GRUCell::InputGrads grads;
-  Matrix h_new;
+  Matrix h_new, dx;
   for (int i = 0; i < 2; ++i) {
     cell.forward_into(x, h, ctx, h_new);
-    cell.backward_into(ctx, dh_next, grads);
+    cell.backward_into(ctx, dh_next, 56, dx);
   }
   const std::size_t before = g_alloc_count.load();
   for (int i = 0; i < 3; ++i) {
     cell.forward_into(x, h, ctx, h_new);
-    cell.backward_into(ctx, dh_next, grads);
+    cell.backward_into(ctx, dh_next, 56, dx);
   }
   EXPECT_EQ(g_alloc_count.load(), before);
 }

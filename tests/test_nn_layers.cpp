@@ -756,15 +756,15 @@ TEST_P(VmathLayerTest, GruCellMatchesDoubleReference) {
   Matrix h_new;
   cell.forward_into(x, h, ctx, h_new);
   cell.zero_grad();
-  nn::GRUCell::InputGrads grads;
-  cell.backward_into(ctx, g, grads);
+  Matrix dx_got;
+  cell.backward_into(ctx, g, 0, dx_got);
 
   const auto params = cell.parameters();  // w_ih w_hh b_ih b_hh
   ASSERT_EQ(params.size(), 4u);
   const Matrix &wi = params[0]->value, &wh = params[1]->value;
   const Matrix &bi = params[2]->value, &bh = params[3]->value;
   auto sigmoid = [](double v) { return 1.0 / (1.0 + std::exp(-v)); };
-  DMat want = dzeros(n, d), dx = dzeros(n, in), dh = dzeros(n, d);
+  DMat want = dzeros(n, d), dx = dzeros(n, in);
   DMat gwi = dzeros(in, 3 * d), gwh = dzeros(d, 3 * d);
   DMat gbi = dzeros(1, 3 * d), gbh = dzeros(1, 3 * d);
   std::vector<double> gi(3 * d), gh(3 * d), dgi(3 * d), dgh(3 * d);
@@ -788,7 +788,6 @@ TEST_P(VmathLayerTest, GruCellMatchesDoubleReference) {
       dgi[d + c] = dgh[d + c] = dz_in;
       dgi[2 * d + c] = dn_in;
       dgh[2 * d + c] = dn_in * rg;
-      dh[r][c] = double{g(r, c)} * zg;
     }
     for (std::size_t j = 0; j < 3 * d; ++j) {
       gbi[0][j] += dgi[j];
@@ -797,20 +796,47 @@ TEST_P(VmathLayerTest, GruCellMatchesDoubleReference) {
         gwi[k][j] += double{x(r, k)} * dgi[j];
         dx[r][k] += dgi[j] * wi(k, j);
       }
-      for (std::size_t k = 0; k < d; ++k) {
+      for (std::size_t k = 0; k < d; ++k)
         gwh[k][j] += double{h(r, k)} * dgh[j];
-        dh[r][k] += dgh[j] * wh(k, j);
-      }
     }
   }
   EXPECT_LE(l2_error(h_new, want).first, kVmathLayerRelTol) << "h'";
-  EXPECT_LE(l2_error(grads.dx, dx).first, kVmathLayerRelTol) << "dx";
-  EXPECT_LE(l2_error(grads.dh, dh).first, kVmathLayerRelTol) << "dh";
+  EXPECT_LE(l2_error(dx_got, dx).first, kVmathLayerRelTol) << "dx";
   const DMat* want_grads[] = {&gwi, &gwh, &gbi, &gbh};
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_LE(l2_error(params[i]->grad, *want_grads[i]).first,
               kVmathLayerRelTol)
         << params[i]->name;
+}
+
+// UPDT's backward forms only Φ's columns of the GRU's input gradient
+// (TGNModel passes dx_col0 = the mail width): they must equal the full
+// gradient's trailing columns bit for bit, at batch sizes across the
+// GEMM's row tiles.
+TEST_P(VmathLayerTest, GruCellTrailingInputGradientMatchesFullBitwise) {
+  const VmathWidths w = GetParam();
+  const std::size_t d = w.width, in = 2 * d + w.edge_dim + w.time_dim;
+  const std::size_t col0 = in - w.time_dim;
+  Rng rng(w.width + 2);
+  nn::GRUCell cell("g", in, d, rng);
+  for (const std::size_t n : {1, 37, 327}) {
+    const Matrix x = random_matrix(n, in, rng);
+    const Matrix h = random_matrix(n, d, rng);
+    const Matrix g = random_matrix(n, d, rng);
+    nn::GRUCell::Ctx ctx;
+    Matrix h_new, full, tail;
+    cell.forward_into(x, h, ctx, h_new);
+    cell.backward_into(ctx, g, 0, full);
+    cell.backward_into(ctx, g, col0, tail);
+    ASSERT_EQ(full.cols(), in);
+    ASSERT_EQ(tail.rows(), n);
+    ASSERT_EQ(tail.cols(), w.time_dim);
+    std::size_t differs = 0;
+    for (std::size_t r = 0; r < n; ++r)
+      differs += std::memcmp(tail.row_ptr(r), full.row_ptr(r) + col0,
+                             w.time_dim * sizeof(float)) != 0;
+    EXPECT_EQ(differs, 0u) << "rows of " << n;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, VmathLayerTest,
